@@ -22,17 +22,27 @@ namespace {
 
 using namespace xfl;
 
+// Arg 0: flow count. Arg 1: shape. 0 = every flow crosses 6 of 64
+// resources; 1 = the production simulator's solves (474 resources, two
+// thirds of the flows single-resource background load, the rest transfers
+// crossing 7 resources, ~1.9 uses per flow).
 void BM_MaxMinAllocate(benchmark::State& state) {
   const auto flow_count = static_cast<std::size_t>(state.range(0));
+  const bool sim_shape = state.range(1) == 1;
+  const int resource_count = sim_shape ? 474 : 64;
   Rng rng(1);
   sim::ResourcePool pool;
-  for (int r = 0; r < 64; ++r)
+  for (int r = 0; r < resource_count; ++r)
     pool.add("r" + std::to_string(r), rng.uniform(1e8, 2e9));
+  auto any_resource = [&rng, resource_count]() {
+    return static_cast<sim::ResourceId>(rng.uniform_int(0, resource_count - 1));
+  };
   std::vector<sim::FlowSpec> flows(flow_count);
-  for (auto& flow : flows) {
-    for (int u = 0; u < 6; ++u)
-      flow.usage.push_back({static_cast<sim::ResourceId>(rng.uniform_int(0, 63)),
-                            rng.uniform(1.0, 16.0), 1.0});
+  for (std::size_t f = 0; f < flow_count; ++f) {
+    auto& flow = flows[f];
+    const int uses = !sim_shape ? 6 : f % 3 == 0 ? 7 : 1;
+    for (int u = 0; u < uses; ++u)
+      flow.usage.push_back({any_resource(), rng.uniform(1.0, 16.0), 1.0});
     flow.cap_Bps = rng.uniform(1e7, 2e9);
   }
   for (auto _ : state) {
@@ -42,7 +52,12 @@ void BM_MaxMinAllocate(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(flow_count));
 }
-BENCHMARK(BM_MaxMinAllocate)->Arg(16)->Arg(64)->Arg(256);
+BENCHMARK(BM_MaxMinAllocate)
+    ->ArgNames({"flows", "sim_shape"})
+    ->Args({16, 0})
+    ->Args({64, 0})
+    ->Args({256, 0})
+    ->Args({60, 1});
 
 logs::LogStore synthetic_log(std::size_t n, std::uint64_t seed) {
   Rng rng(seed);

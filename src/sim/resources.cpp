@@ -1,7 +1,10 @@
 #include "sim/resources.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <limits>
+#include <utility>
 
 #include "common/contracts.hpp"
 
@@ -30,62 +33,144 @@ void ResourcePool::set_capacity(ResourceId id, double capacity_Bps) {
   capacity_[id] = capacity_Bps;
 }
 
+namespace {
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr std::uint32_t kFrozen = std::numeric_limits<std::uint32_t>::max();
+
+/// Candidate rate of one unfrozen flow: its cap, lowered by its weighted
+/// fair share on every resource it crosses. A NaN candidate ranks as +inf,
+/// so it is never frozen while a finite one is left.
+double candidate_rate(const FlowSpec& flow,
+                      const std::vector<double>& remaining_cap,
+                      const std::vector<double>& remaining_weight) {
+  double candidate = flow.cap_Bps;
+  for (const auto& use : flow.usage) {
+    const double weight_sum = remaining_weight[use.resource];
+    // Fair share in *work* units is rho * w; dividing by the consumption
+    // factor converts it back to flow-rate units.
+    const double share =
+        weight_sum > 0.0 ? remaining_cap[use.resource] / weight_sum *
+                               use.weight / use.consumption_factor
+                         : 0.0;
+    candidate = std::min(candidate, share);
+  }
+  return candidate < kInf ? candidate : kInf;
+}
+
+/// Tournament tree over (key, index): each node holds the index of the
+/// smallest key below it, the left (lower-index) child winning ties, so the
+/// root is the first strict minimum in index order. Padding leaves point at
+/// a sentinel index whose key is +inf.
+class Tournament {
+ public:
+  /// One key per leaf, plus a last slot that becomes the sentinel.
+  explicit Tournament(std::vector<double> keys)
+      : keys_(std::move(keys)), leaves_(std::bit_ceil(keys_.size() - 1)) {
+    const auto sentinel = static_cast<std::uint32_t>(keys_.size() - 1);
+    keys_[sentinel] = kInf;
+    nodes_.assign(2 * leaves_, sentinel);
+    for (std::uint32_t i = 0; i < sentinel; ++i) nodes_[leaves_ + i] = i;
+    for (std::size_t n = leaves_ - 1; n >= 1; --n) refresh(n);
+  }
+
+  std::uint32_t winner() const { return nodes_[1]; }
+  double key(std::uint32_t i) const { return keys_[i]; }
+
+  /// Re-key leaf i and replay its matches up to the root.
+  void update(std::uint32_t i, double key) {
+    keys_[i] = key;
+    for (std::size_t n = (leaves_ + i) / 2; n >= 1; n /= 2) refresh(n);
+  }
+
+ private:
+  void refresh(std::size_t n) {
+    const std::uint32_t left = nodes_[2 * n];
+    const std::uint32_t right = nodes_[2 * n + 1];
+    nodes_[n] = keys_[right] < keys_[left] ? right : left;
+  }
+
+  std::vector<double> keys_;
+  std::size_t leaves_;
+  std::vector<std::uint32_t> nodes_;
+};
+
+}  // namespace
+
 std::vector<double> maxmin_allocate(const ResourcePool& pool,
                                     const std::vector<FlowSpec>& flows) {
   const std::size_t flow_count = flows.size();
   std::vector<double> rates(flow_count, 0.0);
   if (flow_count == 0) return rates;
+  const std::size_t resource_count = pool.size();
 
-  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<double> remaining_cap = pool.capacities();
 
-  std::vector<double> remaining_cap(pool.size());
-  for (std::size_t r = 0; r < pool.size(); ++r)
-    remaining_cap[r] = pool.capacity(static_cast<ResourceId>(r));
-
-  std::vector<double> remaining_weight(pool.size(), 0.0);
+  // Weight sums accumulate in flow order (the order fixes their rounding);
+  // the same pass counts each resource's uses for the adjacency list.
+  std::vector<double> remaining_weight(resource_count, 0.0);
+  std::vector<std::uint32_t> member_begin(resource_count + 1, 0);
   for (const auto& flow : flows)
     for (const auto& use : flow.usage) {
-      XFL_EXPECTS(use.resource < pool.size());
+      XFL_EXPECTS(use.resource < resource_count);
       XFL_EXPECTS(use.weight > 0.0);
       XFL_EXPECTS(use.consumption_factor > 0.0);
       remaining_weight[use.resource] += use.weight;
+      ++member_begin[use.resource + 1];
     }
 
-  std::vector<bool> frozen(flow_count, false);
-  for (std::size_t round = 0; round < flow_count; ++round) {
-    // Current per-resource fill level per unit weight.
-    // (Recomputed each round: O(F * avg usage); F stays in the hundreds.)
-    double best_rate = kInf;
-    std::size_t best_flow = flow_count;
-    for (std::size_t f = 0; f < flow_count; ++f) {
-      if (frozen[f]) continue;
-      double candidate = flows[f].cap_Bps;
-      for (const auto& use : flows[f].usage) {
-        const double weight_sum = remaining_weight[use.resource];
-        // Fair share in *work* units is rho * w; dividing by the
-        // consumption factor converts it back to flow-rate units.
-        const double share =
-            weight_sum > 0.0
-                ? remaining_cap[use.resource] / weight_sum * use.weight /
-                      use.consumption_factor
-                : 0.0;
-        candidate = std::min(candidate, share);
-      }
-      if (candidate < best_rate) {
-        best_rate = candidate;
-        best_flow = f;
-      }
-    }
-    XFL_ENSURES(best_flow < flow_count);
-    frozen[best_flow] = true;
+  // Resource -> flow adjacency (CSR), built once per solve:
+  // members[member_begin[r], member_end[r]) lists the flows crossing r.
+  // Frozen flows are dropped lazily when a scan meets them.
+  for (std::size_t r = 0; r < resource_count; ++r)
+    member_begin[r + 1] += member_begin[r];
+  std::vector<std::uint32_t> member_end(member_begin.begin(),
+                                        member_begin.end() - 1);
+  std::vector<std::uint32_t> members(member_begin[resource_count]);
+  for (std::uint32_t f = 0; f < flow_count; ++f)
+    for (const auto& use : flows[f].usage)
+      members[member_end[use.resource]++] = f;
+
+  std::vector<double> keys(flow_count + 1);
+  for (std::size_t f = 0; f < flow_count; ++f)
+    keys[f] = candidate_rate(flows[f], remaining_cap, remaining_weight);
+  Tournament tournament(std::move(keys));
+
+  // Per flow: kFrozen, or the last round its candidate was recomputed.
+  std::vector<std::uint32_t> stamp(flow_count, 0);
+  for (std::uint32_t round = 1; round <= flow_count; ++round) {
+    const std::uint32_t best_flow = tournament.winner();
+    const double best_rate = tournament.key(best_flow);
+    XFL_ENSURES(best_rate < kInf);
+    stamp[best_flow] = kFrozen;
+    tournament.update(best_flow, kInf);
     const double rate = std::max(best_rate, 0.0);
     rates[best_flow] = rate;
-    for (const auto& use : flows[best_flow].usage) {
+    const auto& usage = flows[best_flow].usage;
+    for (const auto& use : usage) {
       remaining_cap[use.resource] =
           std::max(0.0, remaining_cap[use.resource] - rate * use.consumption_factor);
       remaining_weight[use.resource] -= use.weight;
       if (remaining_weight[use.resource] < 0.0)
         remaining_weight[use.resource] = 0.0;
+    }
+    // Only flows sharing a resource with the frozen one see a new fill
+    // level; every other cached candidate is still exact.
+    for (const auto& use : usage) {
+      std::uint32_t& end = member_end[use.resource];
+      for (std::uint32_t m = member_begin[use.resource]; m < end;) {
+        const std::uint32_t f = members[m];
+        if (stamp[f] == kFrozen) {
+          members[m] = members[--end];
+          continue;
+        }
+        if (stamp[f] != round) {
+          stamp[f] = round;
+          tournament.update(
+              f, candidate_rate(flows[f], remaining_cap, remaining_weight));
+        }
+        ++m;
+      }
     }
   }
   return rates;

@@ -13,12 +13,24 @@
 //   repeat until all flows frozen:
 //     rho_r  = remaining_cap_r / (sum of weights of unfrozen flows on r)
 //     xhat_f = min(cap_f, min over r used by f of rho_r * w_{f,r})
-//     freeze the flow with the smallest xhat at that rate; subtract its
-//     consumption from every resource it crosses.
+//     freeze the flow with the smallest xhat at that rate (the first in
+//     input order on a tie); subtract its consumption from every resource
+//     it crosses.
 // Because xhat_f <= rho_r * w_{f,r} <= remaining_cap_r for every r the flow
 // uses, each freeze is feasible, and with uniform weights the fixpoint is
 // classic max-min fairness. This is the same family of solver used by
 // flow-level network simulators such as SimGrid.
+//
+// The solver is incremental. xhat_f only depends on the resources f
+// crosses, so each flow's candidate is cached and, after a freeze, only the
+// unfrozen flows sharing a resource with the frozen one are recomputed
+// (found through a resource -> flow adjacency list built once per solve).
+// A (candidate, index) tournament tree yields the next flow to freeze.
+// Cost per solve: O(R + U) set-up for R pool resources and U usage
+// entries, then per freeze O(log F) tree work plus O(U_g + log F) for each
+// recomputed flow g, for F flows. The arithmetic and its order are those of
+// a full rescan every round, so rates are bit-identical to it
+// (tests/maxmin_oracle.hpp keeps the rescan as the test reference).
 #pragma once
 
 #include <cstdint>
@@ -38,6 +50,8 @@ class ResourcePool {
 
   std::size_t size() const { return capacity_.size(); }
   double capacity(ResourceId id) const;
+  /// All capacities, indexed by ResourceId.
+  const std::vector<double>& capacities() const { return capacity_; }
   const std::string& name(ResourceId id) const;
 
   /// Update a capacity (CPU efficiency and background modulation need this).

@@ -21,6 +21,7 @@ constexpr double kMinDurationS = 1.0e-3; // Log floor for instant transfers.
 struct SimMetrics {
   obs::Counter& runs = obs::counter("sim.runs");
   obs::Counter& events = obs::counter("sim.events");
+  obs::Counter& solves = obs::counter("sim.solves");
   obs::Counter& transfers = obs::counter("sim.transfers");
   obs::Histogram& run_us = obs::histogram("sim.run_us");
 };
@@ -191,22 +192,30 @@ void Simulator::reallocate(double /*now*/) {
 
   // 2. Collect flows: running transfers first, then active backgrounds.
   running_.clear();
-  std::vector<FlowSpec> flows;
+  std::size_t flow_count = 0;
+  auto next_flow = [this, &flow_count]() -> FlowSpec& {
+    if (flow_count == flows_.size()) flows_.emplace_back();
+    return flows_[flow_count++];
+  };
   for (const std::size_t i : live_) {
-    if (transfers_[i].state != TransferState::kRunning) continue;
+    const auto& transfer = transfers_[i];
+    if (transfer.state != TransferState::kRunning) continue;
     running_.push_back(i);
-    flows.push_back({transfers_[i].usage, transfers_[i].tcp_cap_Bps});
+    FlowSpec& flow = next_flow();
+    flow.usage.assign(transfer.usage.begin(), transfer.usage.end());
+    flow.cap_Bps = transfer.tcp_cap_Bps;
   }
-  const std::size_t transfer_flows = flows.size();
+  const std::size_t transfer_flows = flow_count;
   for (const auto& bg : backgrounds_) {
     if (!bg.on || bg.demand_Bps <= 0.0) continue;
-    FlowSpec flow;
-    flow.usage.push_back({bg.resource, bg.spec.weight, 1.0});
+    FlowSpec& flow = next_flow();
+    flow.usage.assign(1, {bg.resource, bg.spec.weight, 1.0});
     flow.cap_Bps = bg.demand_Bps;
-    flows.push_back(std::move(flow));
   }
+  flows_.resize(flow_count);
 
-  std::vector<double> rates = maxmin_allocate(pool_, flows);
+  std::vector<double> rates = maxmin_allocate(pool_, flows_);
+  ++result_.stats.solves;
 
   // 3. Fixed-point pass for per-file overhead efficiency (DESIGN.md §5.2):
   //    cap each transfer at the throughput its pass-1 burst rate sustains
@@ -222,16 +231,17 @@ void Simulator::reallocate(double /*now*/) {
           storage::file_overhead_efficiency_Bps(per_pair,
                                                 transfer.mean_file_bytes,
                                                 transfer.per_file_overhead_s);
-      flows[f].cap_Bps =
+      flows_[f].cap_Bps =
           std::max(kMinCapBps, std::min(transfer.tcp_cap_Bps, effective));
     }
-    rates = maxmin_allocate(pool_, flows);
+    rates = maxmin_allocate(pool_, flows_);
+    ++result_.stats.solves;
   }
 
   // 4. Record per-resource consumption and per-transfer rate/utilisation.
   resource_load_.assign(pool_.size(), 0.0);
-  for (std::size_t f = 0; f < flows.size(); ++f)
-    for (const auto& use : flows[f].usage)
+  for (std::size_t f = 0; f < flows_.size(); ++f)
+    for (const auto& use : flows_[f].usage)
       resource_load_[use.resource] += rates[f] * use.consumption_factor;
 
   for (std::size_t f = 0; f < transfer_flows; ++f) {
@@ -388,7 +398,7 @@ void Simulator::admit(std::size_t index, double now) {
   push_event(now + setup, EventType::kStartData, index, transfer.epoch);
 }
 
-void Simulator::drain_admission_queue(double now) {
+bool Simulator::drain_admission_queue(double now) {
   // FIFO with head-of-line blocking per endpoint pair: scan the queue once
   // and admit every transfer whose endpoints have room. (A strict global
   // FIFO would let one saturated endpoint block unrelated pairs.)
@@ -403,6 +413,7 @@ void Simulator::drain_admission_queue(double now) {
     }
   }
   if (admitted) reallocate(now);
+  return admitted;
 }
 
 void Simulator::handle_event(const Event& event, double now) {
@@ -558,8 +569,9 @@ SimResult Simulator::run() {
       advance_progress(now, completion->first);
       now = completion->first;
       complete_transfer(completion->second, now);
-      drain_admission_queue(now);
-      reallocate(now);
+      // An admission already reallocated; solving again on the same state
+      // would reproduce the same rates.
+      if (!drain_admission_queue(now)) reallocate(now);
     } else {
       const Event event = queue_.top();
       queue_.pop();
@@ -575,6 +587,7 @@ SimResult Simulator::run() {
   auto& metrics = sim_metrics();
   metrics.runs.add(1);
   metrics.events.add(result_.stats.events);
+  metrics.solves.add(result_.stats.solves);
   metrics.transfers.add(transfers_.size());
   metrics.run_us.record(static_cast<double>(elapsed_us));
   XFL_LOG(debug) << "sim run complete"

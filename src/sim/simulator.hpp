@@ -82,6 +82,7 @@ struct WanSample {
 /// Aggregate statistics of one simulation run.
 struct SimStats {
   std::uint64_t events = 0;            ///< Main-loop iterations processed.
+  std::uint64_t solves = 0;            ///< Max-min solver invocations.
   std::uint32_t peak_active = 0;       ///< Max concurrent transfers at any endpoint.
   std::size_t peak_queue = 0;          ///< Max admission-queue length.
   double makespan_s = 0.0;             ///< Completion time of the last transfer.
@@ -203,7 +204,8 @@ class Simulator {
                   std::uint64_t epoch = 0);
   bool admissible(const TransferRequest& request) const;
   void admit(std::size_t index, double now);
-  void drain_admission_queue(double now);
+  /// Admit what fits, reallocating if anything was; returns whether it was.
+  bool drain_admission_queue(double now);
   ResourceId wan_resource(net::SiteId src_site, net::SiteId dst_site);
   const net::WanPath& wan_path(net::SiteId src_site, net::SiteId dst_site);
   void build_usage(ActiveTransfer& transfer);
@@ -236,8 +238,10 @@ class Simulator {
   bool ran_ = false;
 
   // Flow bookkeeping refreshed by reallocate(): indices of transfers in the
-  // running state, parallel to the FlowSpec list handed to the solver.
+  // running state, parallel to the head of the FlowSpec list handed to the
+  // solver. The list is rebuilt in place so its usage buffers are reused.
   std::vector<std::size_t> running_;
+  std::vector<FlowSpec> flows_;
   std::vector<double> resource_load_;  ///< Consumption per resource.
 
   // Incremental state so that reallocate() never scans the full (possibly

@@ -3,11 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <sstream>
+#include <string>
 
 #include "common/contracts.hpp"
 #include "common/units.hpp"
 #include "endpoint/endpoint.hpp"
 #include "net/site.hpp"
+#include "obs/metrics.hpp"
+#include "sim/scenario.hpp"
 
 namespace xfl::sim {
 namespace {
@@ -330,6 +335,31 @@ TEST(Simulator, StatsPeakActiveRespectsAdmissionCap) {
   EXPECT_GT(result.stats.peak_queue, 0u);  // Overload definitely queued.
 }
 
+TEST(Simulator, SolveCountReachesRegistryOncePerRun) {
+  // Admission cap 1 with six transfers queued at t=0. A reallocation solves
+  // once while no transfer is moving bytes and twice (rate pass + per-file
+  // overhead pass) otherwise. Initial reallocation: 1. First arrival
+  // admitted, still in startup: 1. Six data starts: 2 each. Six
+  // completions: the five that admit the next queued transfer solve only
+  // inside the admission (1 each, the admitted one is in startup), the last
+  // reallocates once with nothing running (1). Total 1 + 1 + 12 + 6 = 20.
+  TwoSiteWorld world;
+  SimConfig config = quiet_config();
+  config.max_active_per_endpoint = 1;
+  Simulator sim(world.sites, world.endpoints, config);
+  for (int i = 0; i < 6; ++i)
+    sim.submit(make_request(static_cast<std::uint64_t>(i + 1), 0.0, 1.0 * kGB));
+  const std::uint64_t solves_before = obs::counter("sim.solves").value();
+  const std::uint64_t events_before = obs::counter("sim.events").value();
+  const auto result = sim.run();
+  EXPECT_EQ(result.stats.events, 18u);  // 6 arrivals, starts, completions.
+  EXPECT_EQ(result.stats.solves, 20u);
+  EXPECT_EQ(obs::counter("sim.solves").value() - solves_before,
+            result.stats.solves);
+  EXPECT_EQ(obs::counter("sim.events").value() - events_before,
+            result.stats.events);
+}
+
 // Concurrency sweep: higher concurrency never violates the analytical
 // bound, and every logged rate stays below the slowest subsystem.
 class SimulatorBoundSweep : public ::testing::TestWithParam<int> {};
@@ -350,6 +380,31 @@ TEST_P(SimulatorBoundSweep, RatesRespectEquationOne) {
 
 INSTANTIATE_TEST_SUITE_P(Load, SimulatorBoundSweep,
                          ::testing::Values(1, 2, 4, 8, 16));
+
+// Golden digests of whole simulated logs. write_csv prints every double
+// with %.17g, so the FNV-1a hash of its bytes pins each logged bit: any
+// change to event order, RNG draws or solver arithmetic shows up here.
+// Update the constants only for an intended change to the model.
+std::uint64_t log_digest(const Scenario& scenario) {
+  std::ostringstream csv;
+  scenario.run().log.write_csv(csv);
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const unsigned char byte : csv.str()) {
+    hash ^= byte;
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+TEST(SimulatorGolden, EsnetTestbedLogDigest) {
+  EXPECT_EQ(log_digest(make_esnet_testbed()), 0x85b8d2395d90726eULL);
+}
+
+TEST(SimulatorGolden, ShortProductionLogDigest) {
+  ProductionConfig config;
+  config.duration_s = 2.0 * 86400.0;  // Backgrounds stay on.
+  EXPECT_EQ(log_digest(make_production(config)), 0xcac282a52265d04cULL);
+}
 
 }  // namespace
 }  // namespace xfl::sim
