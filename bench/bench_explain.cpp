@@ -4,7 +4,6 @@
 // directly comparable with the predict numbers recorded there.
 //
 //   * predict_batch serial      — the serving baseline;
-//   * explain_nodewalk per row  — the kept reference implementation;
 //   * explain_batch serial      — the flat explain kernel;
 //   * explain_batch pooled      — the same through a hardware ThreadPool.
 //
@@ -14,7 +13,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <span>
 #include <thread>
 #include <vector>
 
@@ -74,12 +72,6 @@ int main() {
   const double predict_ms =
       median_ms([&] { model.predict_batch(x, pred); });
 
-  const double nodewalk_ms = median_ms([&] {
-    for (std::size_t r = 0; r < kRows; ++r)
-      pred[r] = model.explain_nodewalk(
-          x.row(r), std::span(contrib.data() + r * kCols, kCols), bias[r]);
-  });
-
   const double serial_ms =
       median_ms([&] { model.explain_batch(x, pred, bias, contrib); });
 
@@ -101,19 +93,14 @@ int main() {
   std::printf("  \"predict_batch_serial\": "
               "{\"median_ms\": %.3f, \"rows_per_s\": %.0f},\n",
               predict_ms, rows_per_s(predict_ms));
-  std::printf("  \"explain_nodewalk_per_row\": "
-              "{\"median_ms\": %.3f, \"rows_per_s\": %.0f},\n",
-              nodewalk_ms, rows_per_s(nodewalk_ms));
   std::printf("  \"explain_batch_serial\": "
               "{\"median_ms\": %.3f, \"rows_per_s\": %.0f},\n",
               serial_ms, rows_per_s(serial_ms));
   std::printf("  \"explain_batch_pooled\": "
               "{\"median_ms\": %.3f, \"rows_per_s\": %.0f},\n",
               pooled_ms, rows_per_s(pooled_ms));
-  std::printf("  \"explain_vs_predict_serial\": %.2f,\n",
+  std::printf("  \"explain_vs_predict_serial\": %.2f\n",
               serial_ms / predict_ms);
-  std::printf("  \"flat_vs_nodewalk_serial\": %.2f\n",
-              nodewalk_ms / serial_ms);
   std::printf("}\n");
   return 0;
 }

@@ -126,12 +126,10 @@ BENCHMARK(BM_GbtTrain)
 
 // Serving-path engines on the same fitted model (default config: 200
 // trees, depth 4) and the same 2000-row batch. Arg 0 selects the engine:
-//   0 = per-row pointer node-walk (the reference path and pre-flattening
-//       serving path),
 //   1 = per-row flattened walk (predict routed through the FlatEnsemble),
 //   2 = flattened row-blocked batch engine, serial,
 //   3 = flattened batch engine over a hardware-concurrency pool.
-// All four produce bit-identical outputs (pinned by the tier-2
+// All three produce bit-identical outputs (pinned by the tier-2
 // equivalence suite), so the times are directly comparable; speedups are
 // recorded in BENCH_predict.json.
 void BM_GbtPredict(benchmark::State& state) {
@@ -150,10 +148,6 @@ void BM_GbtPredict(benchmark::State& state) {
   if (engine == 3) pool = std::make_unique<ThreadPool>();
   for (auto _ : state) {
     switch (engine) {
-      case 0:
-        for (std::size_t r = 0; r < x.rows(); ++r)
-          out[r] = model.predict_nodewalk(x.row(r));
-        break;
       case 1:
         for (std::size_t r = 0; r < x.rows(); ++r)
           out[r] = model.predict(x.row(r));
@@ -171,14 +165,14 @@ void BM_GbtPredict(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(x.rows()));
 }
-BENCHMARK(BM_GbtPredict)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
+BENCHMARK(BM_GbtPredict)->Arg(1)->Arg(2)->Arg(3);
 
-// Kernel-family ablation on the BM_GbtPredict workload: arg 0 is the
-// forced ml::Kernel (1 = scalar, 2 = avx2, 3 = quantized), arg 1 selects
-// serial (0) or a hardware-concurrency pool (1). Rows whose kernel this
-// host/build cannot run (e.g. avx2 under XFL_DISABLE_SIMD) are skipped
-// rather than silently measuring the fallback; every runnable row is
-// bit-identical to BM_GbtPredict/2, so the times are directly comparable.
+// Kernel ablation on the BM_GbtPredict workload: arg 0 is the forced
+// ml::Kernel (1 = scalar, 3 = quantized), arg 1 selects serial (0) or a
+// hardware-concurrency pool (1). A row whose kernel would degrade is
+// skipped rather than silently measuring the fallback; every runnable row
+// is bit-identical to BM_GbtPredict/2, so the times are directly
+// comparable.
 void BM_GbtPredictKernel(benchmark::State& state) {
   Rng rng(4);
   ml::Matrix x(2000, 15);
@@ -209,10 +203,8 @@ void BM_GbtPredictKernel(benchmark::State& state) {
 BENCHMARK(BM_GbtPredictKernel)
     ->ArgNames({"kernel", "pool"})
     ->Args({1, 0})
-    ->Args({2, 0})
     ->Args({3, 0})
     ->Args({1, 1})
-    ->Args({2, 1})
     ->Args({3, 1});
 
 // Batch prediction over row blocks; arg is GbtConfig::threads.
@@ -250,7 +242,7 @@ BENCHMARK(BM_Mic)->Arg(250)->Arg(1000);
 
 }  // namespace
 
-// BENCHMARK_MAIN plus a --kernel {auto,scalar,avx2,quantized} flag: forces
+// BENCHMARK_MAIN plus a --kernel {auto,scalar,quantized} flag: forces
 // the process-wide default kernel (the same lever as XFL_KERNEL) before
 // any benchmark runs, so the non-kernel rows can be A/B-ed too.
 int main(int argc, char** argv) {
@@ -263,7 +255,7 @@ int main(int argc, char** argv) {
       if (!kernel) {
         std::fprintf(stderr,
                      "unknown --kernel value '%s' "
-                     "(want auto|scalar|avx2|quantized)\n",
+                     "(want auto|scalar|quantized)\n",
                      arg + 9);
         return 1;
       }

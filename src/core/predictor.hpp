@@ -179,7 +179,7 @@ class TransferPredictor {
       const features::ContentionFeatures& expected_load = {}) const;
 
   /// Name of the batch-inference kernel the serving path would run right
-  /// now ("scalar" / "avx2" / "quantized"): the process-wide dispatch
+  /// now ("scalar" / "quantized"): the process-wide dispatch
   /// (XFL_KERNEL / --kernel / CPU detection) resolved against the global
   /// model's compiled ensemble. Surfaced in the serve startup log and the
   /// `stats` admin reply. Requires fit() (or load()).

@@ -46,20 +46,6 @@ GradientBoostedTrees::GradientBoostedTrees(GbtConfig config)
   XFL_EXPECTS(config_.valid());
 }
 
-double GradientBoostedTrees::Tree::predict(
-    std::span<const double> features) const {
-  std::int32_t index = 0;
-  while (nodes[static_cast<std::size_t>(index)].feature >= 0) {
-    const Node& node = nodes[static_cast<std::size_t>(index)];
-    // <= matches the binning convention: bin b holds values in
-    // (edges[b-1], edges[b]], so "bin <= split_bin" == "value <= threshold".
-    index = features[static_cast<std::size_t>(node.feature)] <= node.threshold
-                ? node.left
-                : node.right;
-  }
-  return nodes[static_cast<std::size_t>(index)].value;
-}
-
 std::size_t GradientBoostedTrees::resolved_threads() const {
   if (config_.threads > 0) return static_cast<std::size_t>(config_.threads);
   const unsigned hw = std::thread::hardware_concurrency();
@@ -657,71 +643,6 @@ double GradientBoostedTrees::predict(std::span<const double> features) const {
   return flat_->predict_one(features);
 }
 
-double GradientBoostedTrees::predict_nodewalk(
-    std::span<const double> features) const {
-  XFL_EXPECTS(fitted_);
-  XFL_EXPECTS(features.size() == feature_count_);
-  double value = base_score_;
-  for (const auto& tree : trees_)
-    value += config_.learning_rate * tree.predict(features);
-  return value;
-}
-
-double GradientBoostedTrees::explain_nodewalk(
-    std::span<const double> features, std::span<double> contributions,
-    double& bias) const {
-  XFL_EXPECTS(fitted_);
-  XFL_EXPECTS(features.size() == feature_count_);
-  XFL_EXPECTS(contributions.size() == feature_count_);
-  std::fill(contributions.begin(), contributions.end(), 0.0);
-  double value = base_score_;
-  std::vector<double> expect;
-  std::vector<double> weight;
-  for (const auto& tree : trees_) {
-    // Leaf-count-weighted subtree means, bottom-up. The expressions match
-    // FlatEnsemble::Builder::build()'s attribution pass exactly — same
-    // operand order — so both paths produce bitwise-identical tables.
-    expect.assign(tree.nodes.size(), 0.0);
-    weight.assign(tree.nodes.size(), 0.0);
-    const auto fill = [&](auto&& self, std::int32_t n) -> void {
-      const Node& node = tree.nodes[static_cast<std::size_t>(n)];
-      if (node.feature < 0) {
-        expect[static_cast<std::size_t>(n)] = node.value;
-        weight[static_cast<std::size_t>(n)] = 1.0;
-        return;
-      }
-      self(self, node.left);
-      self(self, node.right);
-      const double wl = weight[static_cast<std::size_t>(node.left)];
-      const double wr = weight[static_cast<std::size_t>(node.right)];
-      weight[static_cast<std::size_t>(n)] = wl + wr;
-      expect[static_cast<std::size_t>(n)] =
-          (wl * expect[static_cast<std::size_t>(node.left)] +
-           wr * expect[static_cast<std::size_t>(node.right)]) /
-          weight[static_cast<std::size_t>(n)];
-    };
-    fill(fill, 0);
-    std::int32_t index = 0;
-    while (tree.nodes[static_cast<std::size_t>(index)].feature >= 0) {
-      const Node& node = tree.nodes[static_cast<std::size_t>(index)];
-      // Same routing as Tree::predict: x <= t left, NaN right.
-      const std::int32_t child =
-          features[static_cast<std::size_t>(node.feature)] <= node.threshold
-              ? node.left
-              : node.right;
-      contributions[static_cast<std::size_t>(node.feature)] +=
-          config_.learning_rate * (expect[static_cast<std::size_t>(child)] -
-                                   expect[static_cast<std::size_t>(index)]);
-      index = child;
-    }
-    value += config_.learning_rate *
-             tree.nodes[static_cast<std::size_t>(index)].value;
-  }
-  bias = finalize_attribution(value, contributions.data(),
-                              contributions.size());
-  return value;
-}
-
 void GradientBoostedTrees::explain_batch(const Matrix& x,
                                          std::span<double> predictions,
                                          std::span<double> bias,
@@ -827,7 +748,7 @@ GradientBoostedTrees GradientBoostedTrees::load(std::istream& in) {
       if (node.feature < 0) continue;  // Leaf: links are unused.
       // Internal node: the feature must exist and both children must point
       // forward (grow_tree appends children after their parent), which also
-      // guarantees Tree::predict terminates.
+      // guarantees every root-to-leaf walk terminates.
       if (static_cast<std::size_t>(node.feature) >= model.feature_count_)
         fail("split feature out of range");
       const auto index = static_cast<std::int32_t>(i);

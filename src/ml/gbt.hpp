@@ -21,7 +21,10 @@
 //   * A flattened batch-inference engine (ml/gbt_flat.hpp): every fit()
 //     and load() compiles the pointer-linked trees into a contiguous SoA
 //     FlatEnsemble that serves predict()/predict_batch() bit-identically
-//     to the node walk, at any thread count.
+//     to a per-row walk of the trees, at any thread count. That walk, and
+//     its Saabas explain form, live in tests/gbt_nodewalk_oracle.hpp: the
+//     oracle parses save() output, so it never shares code with the
+//     compile it checks.
 #pragma once
 
 #include <cstdint>
@@ -88,28 +91,13 @@ class GradientBoostedTrees {
            std::span<const std::uint32_t> weights);
 
   /// Predict one sample (width must match the fitted data). Served by the
-  /// compiled FlatEnsemble; bit-identical to predict_nodewalk().
+  /// compiled FlatEnsemble; bit-identical to a per-row walk of the
+  /// pointer-linked trees (the test oracle, tests/gbt_nodewalk_oracle.hpp).
   double predict(std::span<const double> features) const;
-
-  /// Reference prediction path: per-row walk of the pointer-linked AoS
-  /// trees. Kept (and exercised by the tier-2 equivalence suite and the
-  /// BM_GbtPredict baseline) as the ground truth the flattened engine must
-  /// match bit-for-bit.
-  double predict_nodewalk(std::span<const double> features) const;
 
   /// Predict many samples through the flattened batch engine (spawns a
   /// pool per resolved_threads() for large batches).
   std::vector<double> predict(const Matrix& x) const;
-
-  /// Reference explanation path: per-row Saabas attribution over the
-  /// pointer-linked AoS trees (contributions.size() == feature count;
-  /// `bias` receives the finalized remainder). Returns the prediction.
-  /// The ground truth FlatEnsemble::explain_rows must match bit-for-bit:
-  /// the subtree-expectation arithmetic, path accumulation order, and
-  /// ml::finalize_attribution call are identical by construction.
-  double explain_nodewalk(std::span<const double> features,
-                          std::span<double> contributions,
-                          double& bias) const;
 
   /// Explain every row of x through the flattened engine (see
   /// FlatEnsemble::explain_batch for the layout and exactness contract).
@@ -153,7 +141,6 @@ class GradientBoostedTrees {
   };
   struct Tree {
     std::vector<Node> nodes;
-    double predict(std::span<const double> features) const;
   };
 
   /// Derive per-feature bin edges and emit every value's bin code in one

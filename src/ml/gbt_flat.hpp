@@ -22,12 +22,13 @@
 // stepping a block of rows in lockstep converts the traversal from
 // latency-bound to throughput-bound.
 //
-// Equivalence contract: predictions are bit-identical to the per-row
-// node-walk path (`GradientBoostedTrees::predict_nodewalk`) at any thread
-// count. Each step compares with the same `!(x <= threshold)` predicate
-// (NaN features route right, exactly like the node walk's `x <= t ?
-// left : right`), and each row accumulates `base + scale * leaf` in tree
-// order, so the floating-point operation sequence per row is unchanged.
+// Equivalence contract: predictions are bit-identical to a per-row walk
+// of the source model's pointer-linked trees (the test-only oracle in
+// tests/gbt_nodewalk_oracle.hpp) at any thread count. Each step compares
+// with the same `!(x <= threshold)` predicate (NaN features route right,
+// exactly like the node walk's `x <= t ? left : right`), and each row
+// accumulates `base + scale * leaf` in tree order, so the floating-point
+// operation sequence per row is unchanged.
 //
 // Explanation kernel (PR 10): build() additionally precomputes a Saabas
 // path-attribution table — for every child slot, the scaled shift in the
@@ -43,20 +44,14 @@
 // ulp-stepping fix-up absorbs the summation residual, and the rare
 // catastrophic-cancellation case where the prediction is unreachable on
 // the reconstruction grid folds everything into the bias (contributions
-// zeroed). `GradientBoostedTrees::explain_nodewalk` is the kept per-row
-// reference, sharing the same expectation arithmetic and finalize.
+// zeroed). The test oracle's explain walk is the per-row reference,
+// sharing the same expectation arithmetic and finalize.
 //
-// Kernel family (PR 6): the lockstep walk above is the `scalar` kernel and
-// stays the oracle. Two explicitly vectorized kernels sit beside it behind
-// runtime dispatch (CPUID probed once; compile-time on non-x86):
+// Kernel family: the lockstep walk above is the `scalar` kernel, the
+// exact reference every build and host can run. One fast kernel sits
+// beside it behind runtime dispatch (CPUID probed once; compile-time on
+// non-x86):
 //
-//   * `avx2` — walks the same SoA arrays, but a 16-row block's features
-//     are first transposed into a contiguous scratch so every per-level
-//     load is a single-base AVX2 gather: node features/thresholds/links
-//     are gathered by node index, compares run 4 doubles per vector, and
-//     the index update is a compare/blend — no per-lane branches. Leaf
-//     accumulation stays scalar (`acc += scale * leaf` per row in tree
-//     order), so outputs remain bit-identical to the scalar kernel.
 //   * `quantized` — built at FlatEnsemble compile time: each feature's
 //     distinct split thresholds are sorted into a rank table and every
 //     split node stores one int32 index into a *global predicate-mask
@@ -90,7 +85,7 @@
 // beyond the int16 code space, or a padded form over the size cap),
 // build() *refuses* the quantized form — structured warn log plus the
 // `gbt.flat.quantize_fallback` counter — and dispatch falls back to the
-// exact avx2/scalar kernel instead of silently degrading accuracy.
+// exact scalar kernel instead of silently degrading accuracy.
 #pragma once
 
 #include <cstdint>
@@ -110,26 +105,27 @@ namespace xfl::ml {
 
 /// Batch-inference kernel selector. kAuto defers to the process-wide
 /// active kernel (XFL_KERNEL env / set_active_kernel), which itself
-/// resolves to the best kernel this CPU and build support.
-enum class Kernel : std::uint8_t { kAuto = 0, kScalar, kAvx2, kQuantized };
+/// resolves to the best kernel this CPU and build support. The values
+/// are explicit and must never be renumbered: the `gbt.kernel.active`
+/// gauge publishes them (DESIGN.md §7.1).
+enum class Kernel : std::uint8_t { kAuto = 0, kScalar = 1, kQuantized = 3 };
 
-/// "auto" / "scalar" / "avx2" / "quantized".
+/// "auto" / "scalar" / "quantized".
 const char* kernel_name(Kernel kernel);
 
 /// Parse a kernel name (the CLI --kernel / XFL_KERNEL vocabulary).
 std::optional<Kernel> parse_kernel(std::string_view text);
 
-/// True when this build carries the AVX2 kernels and the CPU executes
-/// them (CPUID probed once, cached). Always false under XFL_DISABLE_SIMD
+/// True when this build carries the AVX2 quantized walk and the CPU
+/// executes it (CPUID probed once, cached). Always false under XFL_DISABLE_SIMD
 /// and on non-x86 hosts.
 bool cpu_supports_avx2() noexcept;
 
 /// Collapse a request onto what this CPU/build can run: kAuto becomes
 /// kQuantized on SIMD hosts (the fastest exact kernel) and kScalar
-/// otherwise; kAvx2 degrades to kScalar when unsupported. kScalar and
-/// kQuantized pass through (the quantized kernel has a portable scalar
-/// form; per-ensemble quantization failures degrade later, in
-/// FlatEnsemble::effective_kernel).
+/// otherwise. kScalar and kQuantized pass through (the quantized kernel
+/// has a portable scalar form; per-ensemble quantization failures
+/// degrade later, in FlatEnsemble::effective_kernel).
 Kernel resolve_kernel(Kernel requested) noexcept;
 
 /// Process-wide default kernel, initialised once from the XFL_KERNEL
@@ -148,8 +144,8 @@ void set_active_kernel(Kernel kernel) noexcept;
 /// catastrophic cancellation the prediction can be unreachable on the
 /// {fl(sum + b)} grid, in which case every contribution is zeroed and the
 /// bias becomes the prediction itself — the contract holds in every case.
-/// Shared by the flat explain kernel and the node-walk reference so both
-/// agree bitwise.
+/// Shared by the flat explain kernel and the node-walk test oracle so
+/// both agree bitwise.
 double finalize_attribution(double prediction, double* contributions,
                             std::size_t n);
 
@@ -208,15 +204,14 @@ class FlatEnsemble {
   /// True when build() produced the lossless quantized form (rank-coded
   /// thresholds, padded complete trees). False means the quantized kernel
   /// silently degrades — to dispatch, never in accuracy: requests for it
-  /// fall back to the exact avx2/scalar kernel.
+  /// fall back to the exact scalar kernel.
   bool quantized_supported() const { return quantized_ok_; }
   /// Why quantization was refused ("" when quantized_supported()).
   const std::string& quantize_reject_reason() const { return quant_reject_; }
 
   /// The kernel a predict call with this request would actually run:
-  /// kAuto reads the process-wide active kernel, CPU support collapses
-  /// avx2 on non-SIMD hosts, and an unquantizable ensemble degrades
-  /// kQuantized to the best exact kernel.
+  /// kAuto reads the process-wide active kernel and resolves it for this
+  /// CPU, and an unquantizable ensemble degrades kQuantized to kScalar.
   Kernel effective_kernel(Kernel requested = Kernel::kAuto) const;
 
   /// Ensemble prediction for one row. Bit-identical to the node walk
@@ -269,8 +264,6 @@ class FlatEnsemble {
   // Kernel bodies behind predict_rows' dispatch.
   void predict_rows_scalar(const Matrix& x, std::size_t begin,
                            std::size_t end, double* out) const;
-  void predict_rows_avx2(const Matrix& x, std::size_t begin, std::size_t end,
-                         double* out) const;
   void predict_rows_quantized(const Matrix& x, std::size_t begin,
                               std::size_t end, double* out) const;
 

@@ -165,7 +165,7 @@ struct StatsReport {
   std::uint64_t steals = 0;     ///< Items rebalanced between shards.
   std::uint64_t model_version = 0;
   /// Batch-inference kernel the serving model dispatches to ("scalar" /
-  /// "avx2" / "quantized") — names the hardware path behind the latency
+  /// "quantized") — names the hardware path behind the latency
   /// numbers so stats are comparable across hosts and XFL_KERNEL runs.
   std::string kernel;
   std::uint64_t requests = 0;

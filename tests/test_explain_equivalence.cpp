@@ -1,13 +1,14 @@
 // Equivalence suite for the Saabas explanation kernel: on randomized
 // fitted ensembles across depths, the flattened explain path must agree
-// bit-for-bit with the reference per-row node walk — predictions,
-// per-feature contributions, and bias — serial and pooled, and the
-// explain predictions must be bit-identical to predict_batch under every
-// kernel the host can run. On top of path equivalence sits the
-// reconstruction contract of ml::finalize_attribution: contributions
-// summed in ascending feature order plus the bias added last equal the
-// prediction EXACTLY (EXPECT_EQ on doubles, never near), including NaN
-// feature routing and the catastrophic-cancellation fallback.
+// bit-for-bit with the reference per-row node walk (the test oracle in
+// gbt_nodewalk_oracle.hpp) — predictions, per-feature contributions, and
+// bias — serial and pooled, and the explain predictions must be
+// bit-identical to predict_batch under both kernels. On top of path
+// equivalence sits the reconstruction contract of
+// ml::finalize_attribution: contributions summed in ascending feature
+// order plus the bias added last equal the prediction EXACTLY (EXPECT_EQ
+// on doubles, never near), including NaN feature routing and the
+// catastrophic-cancellation fallback.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -16,6 +17,7 @@
 
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
+#include "gbt_nodewalk_oracle.hpp"
 #include "ml/gbt.hpp"
 #include "ml/gbt_flat.hpp"
 
@@ -61,11 +63,12 @@ void expect_explanations_identical(const GradientBoostedTrees& model,
   const std::size_t cols = x.cols();
 
   // Node-walk reference, row at a time.
+  const oracle::NodeWalk walk(model);
   std::vector<double> ref_pred(rows);
   std::vector<double> ref_bias(rows);
   std::vector<double> ref_contrib(rows * cols);
   for (std::size_t r = 0; r < rows; ++r)
-    ref_pred[r] = model.explain_nodewalk(
+    ref_pred[r] = walk.explain(
         x.row(r), std::span(ref_contrib.data() + r * cols, cols),
         ref_bias[r]);
 
@@ -104,12 +107,14 @@ void expect_explanations_identical(const GradientBoostedTrees& model,
     EXPECT_EQ(reconstruct(contrib.data() + r * cols, cols, bias[r]), pred[r])
         << "row " << r;
 
-  // Every forced kernel's predictions must match the explain predictions
-  // (explanations never depend on which predict kernel serves).
+  // Both forced kernels' predictions must match the explain predictions
+  // (explanations never depend on which predict kernel serves). Fitted
+  // models always compile the quantized form, so neither request may
+  // degrade.
   const FlatEnsemble& flat = model.flat();
-  for (const Kernel kernel :
-       {Kernel::kScalar, Kernel::kAvx2, Kernel::kQuantized}) {
-    if (flat.effective_kernel(kernel) != kernel) continue;
+  ASSERT_TRUE(flat.quantized_supported()) << flat.quantize_reject_reason();
+  for (const Kernel kernel : {Kernel::kScalar, Kernel::kQuantized}) {
+    ASSERT_EQ(flat.effective_kernel(kernel), kernel) << kernel_name(kernel);
     std::vector<double> forced(rows);
     flat.predict_batch(x, forced, nullptr, kernel);
     EXPECT_EQ(forced, pred) << "kernel " << kernel_name(kernel);
@@ -142,6 +147,9 @@ TEST_P(ExplainEquivalence, FlatMatchesNodeWalkBitwise) {
     const auto query = make_data(rows, cols, 8888 + rows);
     expect_explanations_identical(model, query.x);
   }
+  // The training rows, many of which sit exactly on a split threshold
+  // (quantile bin edges are training values): pins the `x <= t` tie rule.
+  expect_explanations_identical(model, train.x);
 }
 
 INSTANTIATE_TEST_SUITE_P(Depths, ExplainEquivalence,

@@ -18,6 +18,7 @@
 
 #include "common/csv.hpp"
 #include "core/predictor.hpp"
+#include "gbt_nodewalk_oracle.hpp"
 #include "ml/gbt.hpp"
 #include "ml/gbt_flat.hpp"
 
@@ -75,9 +76,10 @@ TEST(GoldenGbt, PredictionsMatchCommitted) {
   // through the batch engine alike.
   std::vector<double> batch(x.rows());
   model.predict_batch(x, batch);
+  const ml::oracle::NodeWalk walk(model);
   for (std::size_t r = 0; r < x.rows(); ++r) {
     EXPECT_EQ(model.predict(x.row(r)), expected[r]) << "row " << r;
-    EXPECT_EQ(model.predict_nodewalk(x.row(r)), expected[r]) << "row " << r;
+    EXPECT_EQ(walk.predict(x.row(r)), expected[r]) << "row " << r;
     EXPECT_EQ(batch[r], expected[r]) << "row " << r;
   }
 }
@@ -98,12 +100,12 @@ double mdape_pct(const std::vector<double>& got,
   return n % 2 == 1 ? ape[n / 2] : 0.5 * (ape[n / 2 - 1] + ape[n / 2]);
 }
 
-// Kernel-family accuracy sweep on the committed fixture: every kernel the
-// host can run must land within 0.1% absolute MdAPE of the exact scalar
-// kernel. The family is in fact bit-identical (the quantized form is
-// lossless), so the per-row assertion is EXPECT_EQ and the MdAPE gap is
-// exactly zero — the 0.1% ceiling is the documented contract this test
-// would still enforce if a future kernel traded bits for speed.
+// Kernel-family accuracy sweep on the committed fixture: the quantized
+// kernel must land within 0.1% absolute MdAPE of the exact scalar kernel.
+// The two are in fact bit-identical (the quantized form is lossless), so
+// the per-row assertion is EXPECT_EQ and the MdAPE gap is exactly zero —
+// the 0.1% ceiling is the documented contract this test would still
+// enforce if a future kernel traded bits for speed.
 TEST(GoldenGbt, KernelFamilyMatchesCommittedPredictions) {
   std::istringstream in(slurp(data_path("golden_gbt.txt")));
   const auto model = ml::GradientBoostedTrees::load(in);
@@ -120,22 +122,19 @@ TEST(GoldenGbt, KernelFamilyMatchesCommittedPredictions) {
   }
 
   const ml::FlatEnsemble& flat = model.flat();
+  ASSERT_TRUE(flat.quantized_supported()) << flat.quantize_reject_reason();
   std::vector<double> exact(x.rows());
   flat.predict_batch(x, exact, nullptr, ml::Kernel::kScalar);
   const double exact_mdape = mdape_pct(exact, expected);
   EXPECT_EQ(exact_mdape, 0.0);  // %.17g fixtures round-trip exactly.
 
-  for (const ml::Kernel kernel :
-       {ml::Kernel::kAvx2, ml::Kernel::kQuantized}) {
-    if (flat.effective_kernel(kernel) != kernel) continue;
-    std::vector<double> got(x.rows());
-    flat.predict_batch(x, got, nullptr, kernel);
-    EXPECT_LE(std::fabs(mdape_pct(got, expected) - exact_mdape), 0.1)
-        << ml::kernel_name(kernel);
-    for (std::size_t r = 0; r < x.rows(); ++r)
-      EXPECT_EQ(got[r], exact[r])
-          << ml::kernel_name(kernel) << " row " << r;
-  }
+  ASSERT_EQ(flat.effective_kernel(ml::Kernel::kQuantized),
+            ml::Kernel::kQuantized);
+  std::vector<double> got(x.rows());
+  flat.predict_batch(x, got, nullptr, ml::Kernel::kQuantized);
+  EXPECT_LE(std::fabs(mdape_pct(got, expected) - exact_mdape), 0.1);
+  for (std::size_t r = 0; r < x.rows(); ++r)
+    EXPECT_EQ(got[r], exact[r]) << "quantized row " << r;
 }
 
 TEST(GoldenGbt, TruncatedPrefixesThrow) {

@@ -1,10 +1,11 @@
 // Equivalence suite for the flattened batch-inference engine: on randomized
 // fitted ensembles across depths, tree counts, feature counts, and row
 // counts, every serving path must agree bit-for-bit with the reference
-// per-row node walk — serial, with a 2-thread pool, with a hardware-sized
-// pool, and under every forced kernel the host can run (scalar / avx2 /
-// quantized). This is the determinism contract of ml/gbt_flat.hpp: block
-// boundaries, thread counts, and kernel choice never change a single bit.
+// per-row node walk (the test oracle in gbt_nodewalk_oracle.hpp) — serial,
+// with a 2-thread pool, with a hardware-sized pool, and under both forced
+// kernels (scalar / quantized). This is the determinism contract of
+// ml/gbt_flat.hpp: block boundaries, thread counts, and kernel choice
+// never change a single bit.
 // The quantized kernel's documented error bound is zero (rank codes
 // reproduce x <= t exactly), so even it is held to EXPECT_EQ.
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
+#include "gbt_nodewalk_oracle.hpp"
 #include "ml/gbt.hpp"
 #include "ml/gbt_flat.hpp"
 #include "obs/metrics.hpp"
@@ -49,9 +51,10 @@ Synthetic make_data(std::size_t rows, std::size_t cols, std::uint64_t seed) {
 /// All serving paths against the node walk on one fitted model + matrix.
 void expect_all_paths_identical(const GradientBoostedTrees& model,
                                 const Matrix& x) {
+  const oracle::NodeWalk walk(model);
   std::vector<double> reference(x.rows());
   for (std::size_t r = 0; r < x.rows(); ++r)
-    reference[r] = model.predict_nodewalk(x.row(r));
+    reference[r] = walk.predict(x.row(r));
 
   // Per-row flat path.
   for (std::size_t r = 0; r < x.rows(); ++r)
@@ -77,14 +80,13 @@ void expect_all_paths_identical(const GradientBoostedTrees& model,
   // The convenience Matrix overload (spawns its own pool for large inputs).
   EXPECT_EQ(model.predict(x), reference);
 
-  // Every forced kernel the host can actually run, serial and pooled.
-  // effective_kernel() tells us whether the request would degrade (no
-  // AVX2, unquantizable ensemble); degraded kernels are exercised through
-  // the kernel they degrade to, so skipping them here loses nothing.
+  // Both forced kernels, serial and pooled. Fitted models always compile
+  // the quantized form, so neither request may degrade: the fast path
+  // cannot silently drop out of the bit-identity check.
   const FlatEnsemble& flat = model.flat();
-  for (const Kernel kernel :
-       {Kernel::kScalar, Kernel::kAvx2, Kernel::kQuantized}) {
-    if (flat.effective_kernel(kernel) != kernel) continue;
+  ASSERT_TRUE(flat.quantized_supported()) << flat.quantize_reject_reason();
+  for (const Kernel kernel : {Kernel::kScalar, Kernel::kQuantized}) {
+    ASSERT_EQ(flat.effective_kernel(kernel), kernel) << kernel_name(kernel);
     std::vector<double> forced(x.rows());
     flat.predict_batch(x, forced, nullptr, kernel);
     EXPECT_EQ(forced, reference) << "kernel " << kernel_name(kernel);
@@ -122,6 +124,10 @@ TEST_P(InferenceEquivalence, AllPathsBitIdenticalToNodeWalk) {
     const auto query = make_data(rows, cols, 7777 + rows);
     expect_all_paths_identical(model, query.x);
   }
+  // The training rows themselves: quantile bin edges are training values,
+  // so many of these sit exactly on a split threshold and pin the
+  // `x <= t` tie rule.
+  expect_all_paths_identical(model, train.x);
 }
 
 INSTANTIATE_TEST_SUITE_P(Depths, InferenceEquivalence,
@@ -155,7 +161,7 @@ TEST(InferenceEquivalence, RefitRecompilesFlatEngine) {
   model.fit(data_b.x, data_b.y);
   const double after = model.predict(data_a.x.row(0));
   EXPECT_NE(before, after);
-  EXPECT_EQ(after, model.predict_nodewalk(data_a.x.row(0)));
+  EXPECT_EQ(after, oracle::NodeWalk(model).predict(data_a.x.row(0)));
 }
 
 // The scalar kernel is the dispatch anchor: forcing it can never degrade,
@@ -172,9 +178,28 @@ TEST(InferenceEquivalence, ForcedScalarAlwaysAvailableAndExact) {
   const auto query = make_data(333, 6, 62);
   std::vector<double> forced(query.x.rows());
   flat.predict_batch(query.x, forced, nullptr, Kernel::kScalar);
+  const oracle::NodeWalk walk(model);
   for (std::size_t r = 0; r < query.x.rows(); ++r)
-    EXPECT_EQ(forced[r], model.predict_nodewalk(query.x.row(r)))
-        << "row " << r;
+    EXPECT_EQ(forced[r], walk.predict(query.x.row(r))) << "row " << r;
+}
+
+// The gbt.kernel.active gauge publishes the Kernel enum value of the
+// kernel that served the last batch: 1 = scalar, 3 = quantized. These
+// values are part of the metrics surface, so they are pinned here.
+TEST(InferenceEquivalence, KernelActiveGaugePublishesEnumValues) {
+  const auto train = make_data(300, 4, 81);
+  GradientBoostedTrees model;
+  model.fit(train.x, train.y);
+  const FlatEnsemble& flat = model.flat();
+  ASSERT_TRUE(flat.quantized_supported()) << flat.quantize_reject_reason();
+  const auto query = make_data(40, 4, 82);
+  std::vector<double> out(query.x.rows());
+  const obs::Gauge& gauge = obs::gauge("gbt.kernel.active");
+
+  flat.predict_batch(query.x, out, nullptr, Kernel::kScalar);
+  EXPECT_EQ(gauge.value(), 1.0);
+  flat.predict_batch(query.x, out, nullptr, Kernel::kQuantized);
+  EXPECT_EQ(gauge.value(), 3.0);
 }
 
 // Forcing the process-wide dispatch (the --kernel / XFL_KERNEL path) must
@@ -215,8 +240,9 @@ FlatEnsemble build_raw(
 }
 
 // Unquantizable ensembles must be refused at compile time — with a reason
-// and a counter bump — and the quantized *request* must degrade to an
-// exact kernel that still answers bit-identically. Never silently wrong.
+// and a counter bump — and the quantized *request* must degrade to the
+// exact scalar kernel, which still answers bit-identically. Never silently
+// wrong.
 TEST(InferenceEquivalence, QuantizeRejectedEnsemblesFallBackExactly) {
   struct Case {
     const char* reason;
@@ -266,7 +292,7 @@ TEST(InferenceEquivalence, QuantizeRejectedEnsemblesFallBackExactly) {
     EXPECT_EQ(obs::counter("gbt.flat.quantize_fallback").value(),
               fallbacks_before + 1)
         << test_case.reason;
-    EXPECT_NE(flat.effective_kernel(Kernel::kQuantized), Kernel::kQuantized)
+    EXPECT_EQ(flat.effective_kernel(Kernel::kQuantized), Kernel::kScalar)
         << test_case.reason;
 
     // The degraded request still serves, bit-identical to forced scalar.
@@ -297,6 +323,7 @@ TEST(InferenceEquivalence, QuantizedBuilderEnsembleExactOnEdgeValues) {
                                         {-1.0, 20.0, 0, 0}}});
   ASSERT_TRUE(flat.quantized_supported())
       << flat.quantize_reject_reason();
+  ASSERT_EQ(flat.effective_kernel(Kernel::kQuantized), Kernel::kQuantized);
 
   Matrix x(7, 1);
   x.at(0, 0) = 0.5;    // Exactly on a threshold: must route left (<=).
@@ -310,9 +337,7 @@ TEST(InferenceEquivalence, QuantizedBuilderEnsembleExactOnEdgeValues) {
   flat.predict_batch(x, scalar, nullptr, Kernel::kScalar);
   std::vector<double> quantized(x.rows());
   flat.predict_batch(x, quantized, nullptr, Kernel::kQuantized);
-  if (flat.effective_kernel(Kernel::kQuantized) == Kernel::kQuantized) {
-    EXPECT_EQ(quantized, scalar);
-  }
+  EXPECT_EQ(quantized, scalar);
   for (std::size_t r = 0; r < x.rows(); ++r)
     EXPECT_EQ(flat.predict_one(x.row(r)), scalar[r]) << "row " << r;
 }

@@ -12,7 +12,7 @@
 //                      [--parallelism P]
 //   xferlearn predict-batch (--log log.csv | --model model.txt)
 //                      --transfers planned.csv [--out predictions.csv]
-//                      [--kernel auto|scalar|avx2|quantized]
+//                      [--kernel auto|scalar|quantized]
 //                      (planned.csv: src,dst,bytes[,files,dirs,
 //                       concurrency,parallelism]; header row optional;
 //                       served by the flattened batch-inference engine)
@@ -24,7 +24,7 @@
 //                      [--drift-min-samples N]
 //                      [--journal-dir DIR] [--retrain-interval SECONDS]
 //                      [--retrain-min-records N]
-//                      [--kernel auto|scalar|avx2|quantized]
+//                      [--kernel auto|scalar|quantized]
 //                      (line-delimited JSON over TCP, with an opt-in
 //                       length-prefixed binary framing — send the 8 bytes
 //                       "XFLBIN1\n" to negotiate; epoll event loop, so
@@ -67,7 +67,7 @@
 //                      [--queue-cap N] [--shards N] [--src ID --dst ID]
 //                      [--connections N] [--binary] [--pipeline D]
 //                      [--json-out BENCH_serve.json]
-//                      [--kernel auto|scalar|avx2|quantized]
+//                      [--kernel auto|scalar|quantized]
 //                      (reports client round-trip quantiles next to the
 //                       server's own serve.request.server_us histogram
 //                       quantiles — the same estimator live stats use;
@@ -76,12 +76,14 @@
 //                       packed frame protocol instead of JSON lines)
 //
 // Inference options, accepted by every subcommand (after the name):
-//   --kernel auto|scalar|avx2|quantized  pin the process-wide batch-
-//                              inference kernel dispatch before any model
-//                              is built or loaded. Same effect as the
-//                              XFL_KERNEL environment variable; the flag
-//                              wins when both are set. "auto" (default)
-//                              picks the fastest kernel the CPU supports.
+//   --kernel auto|scalar|quantized  pin the process-wide batch-inference
+//                              kernel dispatch before any model is built
+//                              or loaded: "scalar" is the exact reference
+//                              walk, "quantized" the fast lossless kernel.
+//                              Same effect as the XFL_KERNEL environment
+//                              variable; the flag wins when both are set.
+//                              "auto" (default) picks quantized on AVX2
+//                              CPUs and scalar elsewhere.
 //
 // Observability options, accepted by every subcommand (after the name):
 //   --log-level trace|debug|info|warn|error|off   (default info)
@@ -1324,8 +1326,7 @@ bool setup_kernel(const ArgList& args) {
   const auto kernel = ml::parse_kernel(*name);
   if (!kernel) {
     std::fprintf(stderr,
-                 "error: bad --kernel '%s' (want auto|scalar|avx2|"
-                 "quantized)\n",
+                 "error: bad --kernel '%s' (want auto|scalar|quantized)\n",
                  name->c_str());
     return false;
   }
