@@ -97,9 +97,7 @@ BENCHMARK(BM_ContentionSweep)
     ->Args({20000, 1})
     ->Args({20000, 0});
 
-// Arg 0: training rows; arg 1: GbtConfig::threads (0 = hardware
-// concurrency, 1 = serial). The fitted model is bit-identical across
-// thread counts, so the configurations are directly comparable.
+// Arg: training rows. The fit is serial.
 void BM_GbtTrain(benchmark::State& state) {
   const auto rows = static_cast<std::size_t>(state.range(0));
   Rng rng(3);
@@ -111,7 +109,6 @@ void BM_GbtTrain(benchmark::State& state) {
   }
   ml::GbtConfig config;
   config.trees = 100;
-  config.threads = static_cast<int>(state.range(1));
   for (auto _ : state) {
     ml::GradientBoostedTrees model(config);
     model.fit(x, y);
@@ -119,10 +116,7 @@ void BM_GbtTrain(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_GbtTrain)
-    ->Args({500, 1})
-    ->Args({2000, 1})
-    ->Args({2000, 0});
+BENCHMARK(BM_GbtTrain)->Arg(500)->Arg(2000);
 
 // Serving-path engines on the same fitted model (default config: 200
 // trees, depth 4) and the same 2000-row batch. Arg 0 selects the engine:
@@ -207,7 +201,7 @@ BENCHMARK(BM_GbtPredictKernel)
     ->Args({1, 1})
     ->Args({3, 1});
 
-// Batch prediction over row blocks; arg is GbtConfig::threads.
+// Serial batch prediction of a 20000-row matrix (predict(const Matrix&)).
 void BM_GbtPredictBatch(benchmark::State& state) {
   Rng rng(4);
   ml::Matrix x(20000, 15);
@@ -216,9 +210,7 @@ void BM_GbtPredictBatch(benchmark::State& state) {
     for (std::size_t c = 0; c < 15; ++c) x.at(i, c) = rng.normal();
     y[i] = x.at(i, 2) + rng.normal(0.0, 0.1);
   }
-  ml::GbtConfig config;
-  config.threads = static_cast<int>(state.range(0));
-  ml::GradientBoostedTrees model(config);
+  ml::GradientBoostedTrees model;
   model.fit(x, y);
   for (auto _ : state) {
     auto out = model.predict(x);
@@ -226,7 +218,7 @@ void BM_GbtPredictBatch(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 20000);
 }
-BENCHMARK(BM_GbtPredictBatch)->Arg(1)->Arg(0);
+BENCHMARK(BM_GbtPredictBatch);
 
 void BM_Mic(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -24,8 +24,7 @@ void run_explanation(const AnalysisContext& context, const logs::EdgeKey& edge,
       features::build_edge_dataset(context.log, context.contention, edge, options);
 
   report.feature_names = dataset.feature_names;
-  const auto keep = features::variance_mask(dataset.x, config.mode_threshold,
-                                            config.gbt.threads);
+  const auto keep = features::variance_mask(dataset.x, config.mode_threshold);
   report.eliminated.resize(keep.size());
   for (std::size_t c = 0; c < keep.size(); ++c)
     report.eliminated[c] = !keep[c];
@@ -81,8 +80,7 @@ void run_prediction(const AnalysisContext& context, const logs::EdgeKey& edge,
   report.samples = dataset.rows();
   XFL_EXPECTS(dataset.rows() >= 20);
 
-  const auto keep = features::variance_mask(dataset.x, config.mode_threshold,
-                                            config.gbt.threads);
+  const auto keep = features::variance_mask(dataset.x, config.mode_threshold);
   auto reduced = dataset.select_features(keep);
   if (reduced.cols() == 0) reduced = dataset;  // Degenerate: keep everything.
 
@@ -108,7 +106,7 @@ void run_prediction(const AnalysisContext& context, const logs::EdgeKey& edge,
   ml::GradientBoostedTrees boosted(gbt_config);
   boosted.fit(x_train, split.train.y);
   // Flattened batch engine, serial: study_edges may already fan the study
-  // out per edge, and the answers are identical either way.
+  // out per edge.
   std::vector<double> xgb_predictions(x_test.rows());
   boosted.predict_batch(x_test, xgb_predictions);
   report.xgb_mdape = ml::mdape(split.test.y, xgb_predictions);
@@ -132,15 +130,10 @@ std::vector<EdgeModelReport> study_edges(const AnalysisContext& context,
                                          const EdgeModelConfig& config,
                                          ThreadPool* pool) {
   std::vector<EdgeModelReport> reports(edges.size());
-  // When fanning out across edges, force each per-edge GBT fit serial:
-  // the cores are already busy with one edge per worker, and nested pools
-  // would oversubscribe. Results are unaffected — GBT output is
-  // bit-identical across thread counts.
-  EdgeModelConfig edge_config = config;
-  if (pool != nullptr && pool->thread_count() > 1)
-    edge_config.gbt.threads = 1;
+  // Each edge's study is independent and serial, so one edge per worker
+  // is the only grain of parallelism; reports land in edge order.
   auto body = [&](std::size_t i) {
-    reports[i] = study_edge(context, edges[i], edge_config);
+    reports[i] = study_edge(context, edges[i], config);
   };
   if (pool != nullptr) {
     pool->parallel_for(edges.size(), body);

@@ -31,8 +31,7 @@ GlobalModelReport study_global_model(const AnalysisContext& context,
   report.edges = edges.size();
   XFL_EXPECTS(dataset.rows() >= 50);
 
-  const auto keep = features::variance_mask(dataset.x, config.mode_threshold,
-                                            config.gbt.threads);
+  const auto keep = features::variance_mask(dataset.x, config.mode_threshold);
   auto reduced = dataset.select_features(keep);
   if (reduced.cols() == 0) reduced = dataset;
   report.feature_names = reduced.feature_names;

@@ -9,12 +9,10 @@
 #include <ostream>
 #include <stdexcept>
 #include <string>
-#include <thread>
 
 #include "common/contracts.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
-#include "common/thread_pool.hpp"
 #include "ml/gbt_flat.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
@@ -46,20 +44,13 @@ GradientBoostedTrees::GradientBoostedTrees(GbtConfig config)
   XFL_EXPECTS(config_.valid());
 }
 
-std::size_t GradientBoostedTrees::resolved_threads() const {
-  if (config_.threads > 0) return static_cast<std::size_t>(config_.threads);
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : hw;
-}
-
 void GradientBoostedTrees::build_bins(
-    const Matrix& x, std::vector<std::vector<std::uint16_t>>& binned,
-    ThreadPool* pool) {
+    const Matrix& x, std::vector<std::vector<std::uint16_t>>& binned) {
   const std::size_t n = x.rows();
   bin_edges_.assign(x.cols(), {});
   binned.assign(x.cols(), {});
   const auto max_bins = static_cast<std::size_t>(config_.max_bins);
-  auto bin_column = [&](std::size_t c) {
+  for (std::size_t c = 0; c < x.cols(); ++c) {
     // One sort of (value, row) pairs serves both jobs: the distinct values
     // define the edges, and a single merge walk assigns every row's code —
     // no per-value binary search. Codes are stored column-major for
@@ -76,7 +67,7 @@ void GradientBoostedTrees::build_bins(
     auto& codes = binned[c];
     codes.assign(n, 0);
     auto& edges = bin_edges_[c];
-    if (distinct.size() <= 1) return;  // Constant feature: no split points.
+    if (distinct.size() <= 1) continue;  // Constant feature: no split points.
     if (distinct.size() <= max_bins) {
       // One split candidate between each pair of adjacent distinct values.
       edges.reserve(distinct.size() - 1);
@@ -101,11 +92,6 @@ void GradientBoostedTrees::build_bins(
       while (e < edges.size() && value > edges[e]) ++e;
       codes[row] = static_cast<std::uint16_t>(e);
     }
-  };
-  if (pool != nullptr && x.cols() > 1) {
-    pool->parallel_for(x.cols(), bin_column);
-  } else {
-    for (std::size_t c = 0; c < x.cols(); ++c) bin_column(c);
   }
 }
 
@@ -127,10 +113,6 @@ struct SplitScan {
   double left_grad = 0.0;
   std::size_t left_count = 0;
 };
-
-/// Minimum (node rows x candidate columns) before a per-node histogram
-/// build is worth fanning out to the pool.
-constexpr std::size_t kMinParallelHistWork = 8192;
 }  // namespace
 
 GradientBoostedTrees::Tree GradientBoostedTrees::grow_tree(
@@ -138,8 +120,7 @@ GradientBoostedTrees::Tree GradientBoostedTrees::grow_tree(
     const std::vector<double>& grad, std::span<const std::uint32_t> weights,
     std::vector<std::size_t>& sampled, std::vector<std::size_t>& unsampled,
     const std::vector<std::size_t>& cols, const std::vector<double>& inv_hess,
-    FitScratch& fit_scratch, ThreadPool* pool,
-    std::vector<std::int32_t>& leaf_of) {
+    FitScratch& fit_scratch, std::vector<std::int32_t>& leaf_of) {
   Tree tree;
   // A depth-d tree has at most 2^(d+1) - 1 nodes.
   tree.nodes.reserve((std::size_t{2} << config_.max_depth) - 1);
@@ -203,16 +184,16 @@ GradientBoostedTrees::Tree GradientBoostedTrees::grow_tree(
 
   // Builds the histogram of every candidate column over one node's sampled
   // rows. Each column owns its output slice, and rows are visited in the
-  // partition order (ascending original row order), so the result does not
-  // depend on how columns are distributed over workers.
+  // partition order (ascending original row order), which pins the
+  // accumulation order.
   auto build_hist = [&](const Pending& task, std::vector<double>& hist,
                         std::vector<std::uint32_t>& counts) {
     acquire_hist(hist, counts);
-    auto column_job = [&](std::size_t j) {
-      if (offset[j + 1] == offset[j]) return;  // Constant feature.
+    const std::size_t* rows = sampled.data();
+    const double* grads = grad.data();
+    for (std::size_t j = 0; j < width; ++j) {
+      if (offset[j + 1] == offset[j]) continue;  // Constant feature.
       const std::uint16_t* column_bins = binned[cols[j]].data();
-      const std::size_t* rows = sampled.data();
-      const double* grads = grad.data();
       double* grad_slice = hist.data() + offset[j];
       std::uint32_t* count_slice = counts.data() + offset[j];
       if (weights.empty()) {
@@ -233,13 +214,6 @@ GradientBoostedTrees::Tree GradientBoostedTrees::grow_tree(
           count_slice[bin] += row_weights[r];
         }
       }
-    };
-    const std::size_t rows_in_node = task.sampled_end - task.sampled_begin;
-    if (pool != nullptr && width > 1 &&
-        rows_in_node * width >= kMinParallelHistWork) {
-      pool->parallel_for(width, column_job);
-    } else {
-      for (std::size_t j = 0; j < width; ++j) column_job(j);
     }
   };
 
@@ -424,12 +398,10 @@ GradientBoostedTrees::Tree GradientBoostedTrees::grow_tree(
 
     // Histogram subtraction: build the smaller child's histogram directly
     // and derive the sibling as parent - child, reusing the parent's
-    // buffer. Which child is "smaller" depends only on the split, never on
-    // threading, so results stay bit-identical across thread counts.
-    // Children that the pop-time leaf check is guaranteed to finalise
-    // (at max depth, too few rows, or too little hessian mass) will never
-    // be scanned, so their histograms are never materialised — this halves
-    // the histogram work of the deepest level.
+    // buffer. Children that the pop-time leaf check is guaranteed to
+    // finalise (at max depth, too few rows, or too little hessian mass)
+    // will never be scanned, so their histograms are never materialised —
+    // this halves the histogram work of the deepest level.
     auto can_split = [&](const Pending& child) {
       return child.depth < config_.max_depth &&
              child.sampled_end - child.sampled_begin >= 2 &&
@@ -478,21 +450,11 @@ void GradientBoostedTrees::fit(const Matrix& x, std::span<const double> y,
   trees_.clear();
   importance_gain_.assign(feature_count_, 0.0);
 
-  const std::size_t workers = resolved_threads();
-  std::unique_ptr<ThreadPool> owned_pool;
-  ThreadPool* pool = nullptr;
-  if (workers > 1) {
-    owned_pool = std::make_unique<ThreadPool>(workers);
-    pool = owned_pool.get();
-  }
-
-  // Columns are independent, so edge derivation + code assignment fans out
-  // per column.
   std::vector<std::vector<std::uint16_t>> binned;
   {
     XFL_SPAN("gbt.fit.bin");
     const std::uint64_t bin_start_us = obs::monotonic_us();
-    build_bins(x, binned, pool);
+    build_bins(x, binned);
     metrics.bin_us.record(
         static_cast<double>(obs::monotonic_us() - bin_start_us));
   }
@@ -582,7 +544,7 @@ void GradientBoostedTrees::fit(const Matrix& x, std::span<const double> y,
     }
 
     Tree tree = grow_tree(binned, grad, weights, sampled, unsampled, cols,
-                          inv_hess, scratch, pool, leaf_of);
+                          inv_hess, scratch, leaf_of);
     // Update predictions over *all* rows with shrinkage: every row was
     // routed to a leaf during growth, so this is an O(n) scatter rather
     // than n tree traversals. The gradient refresh for the next tree rides
@@ -616,7 +578,6 @@ void GradientBoostedTrees::fit(const Matrix& x, std::span<const double> y,
                  << obs::kv("rows", n) << obs::kv("cols", feature_count_)
                  << obs::kv("trees", config_.trees)
                  << obs::kv("bins", total_bins)
-                 << obs::kv("threads", workers)
                  << obs::kv("elapsed_us", obs::monotonic_us() - fit_start_us);
 }
 
@@ -666,16 +627,7 @@ void GradientBoostedTrees::predict_batch(const Matrix& x,
 
 std::vector<double> GradientBoostedTrees::predict(const Matrix& x) const {
   std::vector<double> out(x.rows());
-  if (x.rows() == 0) return out;
-  const std::size_t workers = resolved_threads();
-  // Small batches stay serial to skip pool setup; results are identical
-  // either way.
-  if (workers > 1 && x.rows() >= 512) {
-    ThreadPool pool(workers);
-    predict_batch(x, out, &pool);
-  } else {
-    predict_batch(x, out);
-  }
+  predict_batch(x, out);
   return out;
 }
 

@@ -8,11 +8,11 @@
 //       0.5 * [GL^2/(HL+l) + GR^2/(HR+l) - G^2/(H+l)] - gamma.
 //   * Histogram (quantile-binned) split finding — the "approximate tree
 //     learning algorithm" the paper credits for XGBoost's efficiency.
-//   * Column-parallel histogram builds over a ThreadPool, the
-//     histogram-subtraction trick (build the smaller child directly and
-//     derive the sibling as parent - child), and leaf-scatter prediction
-//     updates (O(n) per tree instead of per-row tree traversal). Results
-//     are bit-identical for a fixed seed regardless of GbtConfig::threads.
+//   * A serial fit: the histogram-subtraction trick (build the smaller
+//     child directly and derive the sibling as parent - child) and
+//     leaf-scatter prediction updates (O(n) per tree instead of per-row
+//     tree traversal). Callers that want cores fit independent models
+//     concurrently (core::study_edges), one fit per task.
 //   * Shrinkage (learning_rate), row subsampling, and per-tree column
 //     subsampling.
 //   * Gain-based feature importance, the quantity Fig. 12 visualises:
@@ -55,17 +55,12 @@ struct GbtConfig {
   double colsample = 0.9;         ///< Column fraction per tree.
   int max_bins = 64;              ///< Histogram bins per feature.
   std::uint64_t seed = 7;
-  /// Worker threads for binning, histogram builds, and batch prediction.
-  /// 0 = hardware concurrency, 1 = serial. Results are bit-identical for a
-  /// fixed seed regardless of this value: threads split work by column (or
-  /// by row block for prediction), never by interleaving accumulation.
-  int threads = 1;
 
   bool valid() const {
     return trees >= 1 && learning_rate > 0.0 && max_depth >= 1 &&
            min_child_weight >= 0.0 && lambda >= 0.0 && gamma >= 0.0 &&
            subsample > 0.0 && subsample <= 1.0 && colsample > 0.0 &&
-           colsample <= 1.0 && max_bins >= 2 && threads >= 0;
+           colsample <= 1.0 && max_bins >= 2;
   }
 };
 
@@ -95,8 +90,8 @@ class GradientBoostedTrees {
   /// pointer-linked trees (the test oracle, tests/gbt_nodewalk_oracle.hpp).
   double predict(std::span<const double> features) const;
 
-  /// Predict many samples through the flattened batch engine (spawns a
-  /// pool per resolved_threads() for large batches).
+  /// Predict many samples through the flattened batch engine, serially
+  /// (predict_batch with a pool blocks rows across workers).
   std::vector<double> predict(const Matrix& x) const;
 
   /// Explain every row of x through the flattened engine (see
@@ -147,8 +142,7 @@ class GradientBoostedTrees {
   /// sorted pass per column (no per-value binary search). `binned[c][r]` is
   /// the code of x(r, c): code b means value in (edges[b-1], edges[b]].
   void build_bins(const Matrix& x,
-                  std::vector<std::vector<std::uint16_t>>& binned,
-                  ThreadPool* pool);
+                  std::vector<std::vector<std::uint16_t>>& binned);
   /// Grow one tree over the sampled rows. `sampled` and `unsampled` together
   /// partition [0, n); both are reordered in place as nodes split so each
   /// node owns a contiguous range. On return `leaf_of[r]` names the leaf
@@ -176,9 +170,7 @@ class GradientBoostedTrees {
                  std::vector<std::size_t>& unsampled,
                  const std::vector<std::size_t>& cols,
                  const std::vector<double>& inv_hess, FitScratch& scratch,
-                 ThreadPool* pool, std::vector<std::int32_t>& leaf_of);
-  /// config_.threads with 0 resolved to hardware concurrency.
-  std::size_t resolved_threads() const;
+                 std::vector<std::int32_t>& leaf_of);
   /// (Re)compile trees_ into the flattened serving engine. Called at the
   /// end of every fit() and load() — the compiled model cache is derived
   /// state, so (re)fitting or loading always invalidates and rebuilds it.

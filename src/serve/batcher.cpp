@@ -64,12 +64,8 @@ MicroBatcher::MicroBatcher(ModelHost& host, Options options)
   XFL_EXPECTS(options_.max_batch >= 1 && options_.queue_capacity >= 1 &&
               options_.shards >= 1);
   shards_.reserve(options_.shards);
-  for (std::size_t i = 0; i < options_.shards; ++i) {
-    auto shard = std::make_unique<Shard>();
-    if (options_.predict_threads > 1)
-      shard->pool = std::make_unique<ThreadPool>(options_.predict_threads);
-    shards_.push_back(std::move(shard));
-  }
+  for (std::size_t i = 0; i < options_.shards; ++i)
+    shards_.push_back(std::make_unique<Shard>());
   for (std::size_t i = 0; i < shards_.size(); ++i)
     shards_[i]->worker = std::thread([this, i] { worker_loop(i); });
 }
@@ -239,7 +235,7 @@ void MicroBatcher::worker_loop(std::size_t index) {
       batcher_metrics().depth.set(static_cast<double>(
           total_depth_.fetch_sub(batch.size(), std::memory_order_relaxed) -
           batch.size()));
-      process(batch, own.pool.get());
+      process(batch);
       continue;
     }
 
@@ -263,7 +259,7 @@ void MicroBatcher::worker_loop(std::size_t index) {
   }
 }
 
-void MicroBatcher::process(std::vector<BatchItem>& batch, ThreadPool* pool) {
+void MicroBatcher::process(std::vector<BatchItem>& batch) {
   XFL_SPAN("serve.batch");
   auto& metrics = batcher_metrics();
   const std::uint64_t start_us = obs::monotonic_us();
@@ -332,7 +328,7 @@ void MicroBatcher::process(std::vector<BatchItem>& batch, ThreadPool* pool) {
   try {
     XFL_SPAN("serve.batch.predict");
     if (explain_idx.empty()) {
-      rates = snapshot.predictor->predict_rates_mbps(transfers, loads, pool);
+      rates = snapshot.predictor->predict_rates_mbps(transfers, loads);
     } else {
       rates.assign(live.size(), 0.0);
       std::vector<core::PlannedTransfer> part_transfers;
@@ -349,7 +345,7 @@ void MicroBatcher::process(std::vector<BatchItem>& batch, ThreadPool* pool) {
           part_loads.push_back(loads[i]);
         }
         const auto plain_rates = snapshot.predictor->predict_rates_mbps(
-            part_transfers, part_loads, pool);
+            part_transfers, part_loads);
         for (std::size_t k = 0; k < plain_idx.size(); ++k)
           rates[plain_idx[k]] = plain_rates[k];
       }
@@ -362,7 +358,7 @@ void MicroBatcher::process(std::vector<BatchItem>& batch, ThreadPool* pool) {
         part_loads.push_back(loads[i]);
       }
       explanations = snapshot.predictor->explain_rates_mbps(
-          part_transfers, part_loads, pool);
+          part_transfers, part_loads);
       for (std::size_t k = 0; k < explain_idx.size(); ++k)
         rates[explain_idx[k]] = explanations[k].rate_mbps;
       metrics.explain_rows.add(explain_idx.size());

@@ -35,7 +35,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/thread_pool.hpp"
 #include "core/predictor.hpp"
 #include "features/contention.hpp"
 #include "serve/model_host.hpp"
@@ -84,9 +83,6 @@ class MicroBatcher {
   struct Options {
     std::size_t max_batch = 64;        ///< Rows coalesced per predict call.
     std::size_t queue_capacity = 1024; ///< Admission bound, per shard.
-    /// Worker threads for the flat kernel inside a batch: 1 = serial on
-    /// the shard worker, N > 1 = a dedicated ThreadPool of N per shard.
-    std::size_t predict_threads = 1;
     /// Shard (worker) count. Every shard owns one queue and one worker;
     /// single-shard batchers behave exactly like the pre-shard design.
     std::size_t shards = 1;
@@ -151,14 +147,13 @@ class MicroBatcher {
     std::condition_variable cv;
     std::deque<BatchItem> queue;
     std::atomic<std::size_t> size{0};
-    std::unique_ptr<ThreadPool> pool;
     std::thread worker;
   };
 
   void worker_loop(std::size_t index);
   /// Move up to half of the deepest sibling's backlog into `batch`.
   bool try_steal(std::size_t thief, std::vector<BatchItem>& batch);
-  void process(std::vector<BatchItem>& batch, ThreadPool* pool);
+  void process(std::vector<BatchItem>& batch);
   void notify_all_shards();
 
   ModelHost& host_;

@@ -169,7 +169,6 @@ PredictionServer::PredictionServer(ModelHost& host, Options options)
       batcher_(host,
                MicroBatcher::Options{options_.max_batch,
                                      options_.queue_capacity,
-                                     options_.predict_threads,
                                      options_.shards,
                                      [this](bool begin) {
                                        if (begin)

@@ -122,13 +122,18 @@ TEST(EdgeModel, ParallelStudyMatchesSerial) {
   const auto& context = shared_context();
   const auto edges = select_heavy_edges(context, 80, 0.5, 3);
   ASSERT_FALSE(edges.empty());
-  ThreadPool pool(2);
   const auto serial = study_edges(context, edges, fast_config());
-  const auto parallel = study_edges(context, edges, fast_config(), &pool);
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_DOUBLE_EQ(serial[i].lr_mdape, parallel[i].lr_mdape);
-    EXPECT_DOUBLE_EQ(serial[i].xgb_mdape, parallel[i].xgb_mdape);
+  ThreadPool two(2);
+  ThreadPool hardware;
+  for (ThreadPool* pool : {&two, &hardware}) {
+    const auto parallel = study_edges(context, edges, fast_config(), pool);
+    ASSERT_EQ(serial.size(), parallel.size());
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+      EXPECT_EQ(serial[i].edge, parallel[i].edge);
+      EXPECT_EQ(serial[i].lr_mdape, parallel[i].lr_mdape);
+      EXPECT_EQ(serial[i].xgb_mdape, parallel[i].xgb_mdape);
+      EXPECT_EQ(serial[i].xgb_importance, parallel[i].xgb_importance);
+    }
   }
 }
 

@@ -235,7 +235,8 @@ TEST(ServeProtocol, RegistryFlagOnlyValidWithStats) {
 
 TEST(MicroBatcher, BatchedAnswersMatchDirectCallsBitIdentically) {
   ModelHost host(model_a());
-  MicroBatcher batcher(host, {.max_batch = 8, .queue_capacity = 64});
+  MicroBatcher batcher(
+      host, {.max_batch = 8, .queue_capacity = 64, .batch_hook = {}});
   const auto mix = transfer_mix();
 
   std::mutex mutex;
@@ -264,7 +265,8 @@ TEST(MicroBatcher, BatchedAnswersMatchDirectCallsBitIdentically) {
 
 TEST(MicroBatcher, ExpiredDeadlineTimesOutInsteadOfPredicting) {
   ModelHost host(model_a());
-  MicroBatcher batcher(host, {.max_batch = 8, .queue_capacity = 8});
+  MicroBatcher batcher(
+      host, {.max_batch = 8, .queue_capacity = 8, .batch_hook = {}});
   batcher.pause();
   std::atomic<int> timeouts{0};
   BatchItem item;
@@ -284,7 +286,8 @@ TEST(MicroBatcher, ExpiredDeadlineTimesOutInsteadOfPredicting) {
 
 TEST(MicroBatcher, RejectsWhenQueueFullAndAfterStop) {
   ModelHost host(model_a());
-  MicroBatcher batcher(host, {.max_batch = 4, .queue_capacity = 2});
+  MicroBatcher batcher(
+      host, {.max_batch = 4, .queue_capacity = 2, .batch_hook = {}});
   batcher.pause();
   std::atomic<int> answered{0};
   auto make_item = [&] {

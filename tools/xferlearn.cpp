@@ -18,7 +18,7 @@
 //                       served by the flattened batch-inference engine)
 //   xferlearn export-dataset --log log.csv --src ID --dst ID --out data.csv
 //   xferlearn serve    --model model.txt [--port N] [--bind ADDR]
-//                      [--max-batch N] [--queue-cap N] [--threads N]
+//                      [--max-batch N] [--queue-cap N]
 //                      [--shards N] [--frame-timeout-ms N]
 //                      [--drift-window N] [--drift-threshold PCT]
 //                      [--drift-min-samples N]
@@ -85,6 +85,10 @@
 //                              "auto" (default) picks quantized on AVX2
 //                              CPUs and scalar elsewhere.
 //
+// A flag the command does not accept (a typo, or a retired flag such as
+// serve --threads), a value flag with no value, or a stray positional
+// argument exits 2 before the command runs.
+//
 // Observability options, accepted by every subcommand (after the name):
 //   --log-level trace|debug|info|warn|error|off   (default info)
 //   --log-json                 JSON-lines log records instead of text
@@ -107,8 +111,10 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -173,6 +179,27 @@ class ArgList {
   double number_or(const std::string& name, double fallback) const {
     const auto v = value(name);
     return v ? parse_number(name, *v) : fallback;
+  }
+
+  /// Describes the first argument that is not one of `accepted` (a flag
+  /// name followed by its value, or a switch from `switches`), or returns
+  /// nullopt when every argument is accounted for.
+  std::optional<std::string> first_unknown(
+      std::span<const std::string_view> accepted,
+      std::span<const std::string_view> switches) const {
+    auto listed = [](std::span<const std::string_view> names,
+                     const std::string& arg) {
+      return std::find(names.begin(), names.end(), arg) != names.end();
+    };
+    for (std::size_t i = 0; i < args_.size(); ++i) {
+      const std::string& arg = args_[i];
+      if (!listed(accepted, arg))
+        return arg.rfind("-", 0) == 0 ? "unknown flag '" + arg + "'"
+                                      : "unexpected argument '" + arg + "'";
+      if (listed(switches, arg)) continue;
+      if (++i == args_.size()) return "flag '" + arg + "' needs a value";
+    }
+    return std::nullopt;
   }
 
  private:
@@ -320,27 +347,7 @@ int cmd_evaluate(const ArgList& args) {
   return 0;
 }
 
-int cmd_train(const ArgList& args) {
-  const auto log = load_log(args);
-  const auto out_path = args.value("--model-out");
-  if (!out_path) {
-    std::fprintf(stderr, "error: --model-out <file> is required\n");
-    return 2;
-  }
-  core::TransferPredictor::Options options;
-  options.min_edge_transfers = static_cast<std::size_t>(
-      args.number_or("--min-edge-transfers", 100.0));
-  core::TransferPredictor predictor(options);
-  predictor.fit(log);
-  // Temp-file + atomic rename, so a serve daemon watching this path never
-  // reloads a half-written model.
-  predictor.save_file(*out_path);
-  std::printf("trained predictor saved to %s\n", out_path->c_str());
-  return 0;
-}
-
-/// Shared by predict / predict-batch: load a saved predictor from --model,
-/// or train one from --log.
+/// Load a saved predictor from --model, or train one from --log.
 core::TransferPredictor acquire_predictor(const ArgList& args) {
   if (const auto model_path = args.value("--model")) {
     auto predictor = core::TransferPredictor::load_file(*model_path);
@@ -356,19 +363,31 @@ core::TransferPredictor acquire_predictor(const ArgList& args) {
   return predictor;
 }
 
-int cmd_predict(const ArgList& args) {
-  core::PlannedTransfer planned;
+int cmd_train(const ArgList& args) {
+  const auto out_path = args.value("--model-out");
+  if (!out_path) {
+    std::fprintf(stderr, "error: --model-out <file> is required\n");
+    return 2;
+  }
+  const core::TransferPredictor predictor = acquire_predictor(args);
+  // Temp-file + atomic rename, so a serve daemon watching this path never
+  // reloads a half-written model.
+  predictor.save_file(*out_path);
+  std::printf("trained predictor saved to %s\n", out_path->c_str());
+  return 0;
+}
+
+/// The transfer named by the --src/--dst/--bytes/--files/--dirs/
+/// --concurrency/--parallelism flags; nullopt when --src, --dst or --bytes
+/// is missing.
+std::optional<core::PlannedTransfer> planned_transfer(const ArgList& args) {
   const auto src = args.value("--src");
   const auto dst = args.value("--dst");
   const auto bytes = args.value("--bytes");
-  if (!src || !dst || !bytes) {
-    std::fprintf(stderr, "error: --src, --dst and --bytes are required\n");
-    return 2;
-  }
-  planned.src =
-      static_cast<endpoint::EndpointId>(parse_number("--src", *src));
-  planned.dst =
-      static_cast<endpoint::EndpointId>(parse_number("--dst", *dst));
+  if (!src || !dst || !bytes) return std::nullopt;
+  core::PlannedTransfer planned;
+  planned.src = static_cast<endpoint::EndpointId>(parse_number("--src", *src));
+  planned.dst = static_cast<endpoint::EndpointId>(parse_number("--dst", *dst));
   planned.bytes = parse_number("--bytes", *bytes);
   planned.files = static_cast<std::uint64_t>(args.number_or("--files", 1.0));
   planned.dirs = static_cast<std::uint64_t>(args.number_or("--dirs", 1.0));
@@ -376,7 +395,16 @@ int cmd_predict(const ArgList& args) {
       static_cast<std::uint32_t>(args.number_or("--concurrency", 4.0));
   planned.parallelism =
       static_cast<std::uint32_t>(args.number_or("--parallelism", 4.0));
+  return planned;
+}
 
+int cmd_predict(const ArgList& args) {
+  const auto transfer = planned_transfer(args);
+  if (!transfer) {
+    std::fprintf(stderr, "error: --src, --dst and --bytes are required\n");
+    return 2;
+  }
+  const core::PlannedTransfer& planned = *transfer;
   const core::TransferPredictor predictor = acquire_predictor(args);
   const logs::EdgeKey edge{planned.src, planned.dst};
   const double rate = predictor.predict_rate_mbps(planned);
@@ -535,20 +563,9 @@ void serve_hup_handler(int) { g_serve_hup = 1; }
 /// or --log (train in-process).
 std::shared_ptr<const core::TransferPredictor> acquire_shared_predictor(
     const ArgList& args, std::string& model_path_out) {
-  if (const auto model_path = args.value("--model")) {
-    model_path_out = *model_path;
-    auto predictor = std::make_shared<const core::TransferPredictor>(
-        core::TransferPredictor::load_file(*model_path));
-    std::printf("loaded predictor from %s\n", model_path->c_str());
-    return predictor;
-  }
-  const auto log = load_log(args);
-  core::TransferPredictor::Options options;
-  options.min_edge_transfers = static_cast<std::size_t>(
-      args.number_or("--min-edge-transfers", 100.0));
-  auto predictor = std::make_shared<core::TransferPredictor>(options);
-  predictor->fit(log);
-  return predictor;
+  model_path_out = args.value_or("--model", "");
+  return std::make_shared<const core::TransferPredictor>(
+      acquire_predictor(args));
 }
 
 serve::PredictionServer::Options server_options(const ArgList& args) {
@@ -559,8 +576,6 @@ serve::PredictionServer::Options server_options(const ArgList& args) {
       static_cast<std::size_t>(args.number_or("--max-batch", 64.0));
   options.queue_capacity =
       static_cast<std::size_t>(args.number_or("--queue-cap", 1024.0));
-  options.predict_threads =
-      static_cast<std::size_t>(args.number_or("--threads", 1.0));
   options.shards =
       static_cast<std::size_t>(args.number_or("--shards", 0.0));
   options.partial_frame_timeout_ms = static_cast<std::uint64_t>(
@@ -909,25 +924,14 @@ int cmd_request(const ArgList& args) {
     return 0;
   }
 
-  const auto src = args.value("--src");
-  const auto dst = args.value("--dst");
-  const auto bytes = args.value("--bytes");
-  if (!src || !dst || !bytes) {
+  const auto transfer = planned_transfer(args);
+  if (!transfer) {
     std::fprintf(stderr,
                  "error: --src, --dst and --bytes are required (or use "
                  "--ping/--stats/--reload/--retrain-status)\n");
     return 2;
   }
-  core::PlannedTransfer planned;
-  planned.src = static_cast<endpoint::EndpointId>(parse_number("--src", *src));
-  planned.dst = static_cast<endpoint::EndpointId>(parse_number("--dst", *dst));
-  planned.bytes = parse_number("--bytes", *bytes);
-  planned.files = static_cast<std::uint64_t>(args.number_or("--files", 1.0));
-  planned.dirs = static_cast<std::uint64_t>(args.number_or("--dirs", 1.0));
-  planned.concurrency =
-      static_cast<std::uint32_t>(args.number_or("--concurrency", 4.0));
-  planned.parallelism =
-      static_cast<std::uint32_t>(args.number_or("--parallelism", 4.0));
+  const core::PlannedTransfer& planned = *transfer;
   const auto deadline_ms =
       static_cast<std::uint64_t>(args.number_or("--deadline-ms", 0.0));
 
@@ -956,29 +960,18 @@ int cmd_request(const ArgList& args) {
 /// (bias + contributions = raw score, clamped to the serving floor).
 int cmd_explain(const ArgList& args) {
   const auto port_value = args.value("--port");
-  const auto src = args.value("--src");
-  const auto dst = args.value("--dst");
-  const auto bytes = args.value("--bytes");
-  if (!port_value || !src || !dst || !bytes) {
+  const auto transfer = planned_transfer(args);
+  if (!port_value || !transfer) {
     std::fprintf(stderr,
                  "error: --port, --src, --dst and --bytes are required\n");
     return 2;
   }
+  const core::PlannedTransfer& planned = *transfer;
   serve::PredictionClient client(
       args.value_or("--host", "127.0.0.1"),
       static_cast<std::uint16_t>(parse_number("--port", *port_value)));
   if (args.flag("--binary")) client.negotiate_binary();
 
-  core::PlannedTransfer planned;
-  planned.src = static_cast<endpoint::EndpointId>(parse_number("--src", *src));
-  planned.dst = static_cast<endpoint::EndpointId>(parse_number("--dst", *dst));
-  planned.bytes = parse_number("--bytes", *bytes);
-  planned.files = static_cast<std::uint64_t>(args.number_or("--files", 1.0));
-  planned.dirs = static_cast<std::uint64_t>(args.number_or("--dirs", 1.0));
-  planned.concurrency =
-      static_cast<std::uint32_t>(args.number_or("--concurrency", 4.0));
-  planned.parallelism =
-      static_cast<std::uint32_t>(args.number_or("--parallelism", 4.0));
   const auto deadline_ms =
       static_cast<std::uint64_t>(args.number_or("--deadline-ms", 0.0));
   const auto top_k =
@@ -1302,27 +1295,86 @@ int cmd_serve_bench(const ArgList& args) {
   return 0;
 }
 
-int run_command(const std::string& command, const ArgList& args) {
-  if (command == "simulate") return cmd_simulate(args);
-  if (command == "analyze") return cmd_analyze(args);
-  if (command == "train") return cmd_train(args);
-  if (command == "evaluate") return cmd_evaluate(args);
-  if (command == "predict") return cmd_predict(args);
-  if (command == "predict-batch") return cmd_predict_batch(args);
-  if (command == "export-dataset") return cmd_export_dataset(args);
-  if (command == "serve") return cmd_serve(args);
-  if (command == "request") return cmd_request(args);
-  if (command == "explain") return cmd_explain(args);
-  if (command == "serve-bench") return cmd_serve_bench(args);
-  return usage();
+/// Flags every subcommand accepts: observability and --kernel.
+constexpr std::string_view kGlobalFlags[] = {
+    "--log-level", "--log-json", "--metrics-out", "--trace-out",
+    "--print-metrics", "--kernel"};
+/// The flags that take no value.
+constexpr std::string_view kSwitches[] = {
+    "--anonymize", "--with-nflt", "--ping", "--stats", "--reload",
+    "--retrain-status", "--binary", "--log-json", "--print-metrics"};
+/// acquire_predictor() and acquire_shared_predictor().
+constexpr std::string_view kPredictorFlags[] = {"--model", "--log",
+                                                "--min-edge-transfers"};
+/// server_options().
+constexpr std::string_view kServerFlags[] = {
+    "--port", "--bind", "--max-batch", "--queue-cap", "--shards",
+    "--frame-timeout-ms", "--drift-window", "--drift-threshold",
+    "--drift-min-samples"};
+/// One planned transfer.
+constexpr std::string_view kTransferFlags[] = {
+    "--src", "--dst", "--bytes", "--files", "--dirs", "--concurrency",
+    "--parallelism"};
+
+struct Command {
+  std::string_view name;
+  int (*run)(const ArgList&);
+  std::vector<std::string_view> flags;  ///< Global flags included.
+};
+
+/// A command's own flags plus the shared groups it reads.
+std::vector<std::string_view> flags(
+    std::initializer_list<std::string_view> own,
+    std::initializer_list<std::span<const std::string_view>> groups = {}) {
+  std::vector<std::string_view> out(own);
+  for (const auto group : groups)
+    out.insert(out.end(), group.begin(), group.end());
+  out.insert(out.end(), std::begin(kGlobalFlags), std::end(kGlobalFlags));
+  return out;
 }
+
+const std::vector<Command> kCommands = {
+    {"simulate", cmd_simulate,
+     flags({"--scenario", "--seed", "--transfers", "--out", "--anonymize"})},
+    {"analyze", cmd_analyze, flags({"--log", "--threshold"})},
+    {"train", cmd_train,
+     flags({"--log", "--model-out", "--min-edge-transfers"})},
+    {"evaluate", cmd_evaluate,
+     flags({"--log", "--max-edges", "--min-transfers"})},
+    {"predict", cmd_predict, flags({}, {kPredictorFlags, kTransferFlags})},
+    {"predict-batch", cmd_predict_batch,
+     flags({"--transfers", "--out"}, {kPredictorFlags})},
+    {"export-dataset", cmd_export_dataset,
+     flags({"--log", "--src", "--dst", "--threshold", "--with-nflt",
+            "--out"})},
+    {"serve", cmd_serve,
+     flags({"--journal-dir", "--retrain-interval", "--retrain-min-records"},
+           {kPredictorFlags, kServerFlags})},
+    {"request", cmd_request,
+     flags({"--port", "--host", "--deadline-ms", "--ping", "--stats",
+            "--reload", "--path", "--retrain-status", "--feedback",
+            "--observed-mbps"},
+           {kTransferFlags})},
+    {"explain", cmd_explain,
+     flags({"--port", "--host", "--deadline-ms", "--top-k", "--binary"},
+           {kTransferFlags})},
+    {"serve-bench", cmd_serve_bench,
+     flags({"--clients", "--seconds", "--src", "--dst", "--connections",
+            "--binary", "--pipeline", "--json-out"},
+           {kPredictorFlags, kServerFlags})},
+};
 
 /// Apply --kernel: pins the process-wide batch-inference dispatch before
 /// any model is compiled, overriding XFL_KERNEL. Returns false (after
 /// printing the accepted names) on an unknown kernel.
 bool setup_kernel(const ArgList& args) {
   const auto name = args.value("--kernel");
-  if (!name) return true;
+  if (!name) {
+    // Resolve XFL_KERNEL now, so every subcommand warns about a bad value
+    // even when it never reaches batch dispatch.
+    ml::active_kernel();
+    return true;
+  }
   const auto kernel = ml::parse_kernel(*name);
   if (!kernel) {
     std::fprintf(stderr,
@@ -1387,12 +1439,20 @@ int flush_observability(const ArgList& args, int rc) {
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string command = argv[1];
+  const auto entry =
+      std::find_if(kCommands.begin(), kCommands.end(),
+                   [&](const Command& c) { return c.name == command; });
+  if (entry == kCommands.end()) return usage();
   const ArgList args(argc - 2, argv + 2);
+  if (const auto problem = args.first_unknown(entry->flags, kSwitches)) {
+    std::fprintf(stderr, "error: %s: %s\n", command.c_str(), problem->c_str());
+    return 2;
+  }
   if (!setup_observability(args)) return 2;
   if (!setup_kernel(args)) return 2;
   int rc;
   try {
-    rc = run_command(command, args);
+    rc = entry->run(args);
   } catch (const std::exception& error) {
     std::fprintf(stderr, "error: %s\n", error.what());
     XFL_LOG(error) << "command failed" << obs::kv("command", command)
