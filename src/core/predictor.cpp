@@ -15,7 +15,6 @@
 
 #include "common/contracts.hpp"
 #include "common/stats.hpp"
-#include "common/thread_pool.hpp"
 #include "common/units.hpp"
 #include "features/dataset.hpp"
 #include "ml/gbt_flat.hpp"
@@ -277,103 +276,96 @@ double TransferPredictor::predict_rate_mbps(
   return std::max(rate, 0.01);  // A rate prediction is never non-positive.
 }
 
-std::vector<double> TransferPredictor::predict_rates_mbps(
+std::vector<TransferPredictor::ModelRows> TransferPredictor::group_by_model(
     std::span<const PlannedTransfer> transfers,
-    std::span<const features::ContentionFeatures> expected_loads,
-    ThreadPool* pool) const {
+    std::span<const features::ContentionFeatures> expected_loads) const {
   XFL_EXPECTS(fitted_);
   XFL_EXPECTS(expected_loads.empty() ||
               expected_loads.size() == transfers.size());
-  XFL_SPAN("predictor.predict_batch");
-  const std::uint64_t start_us = obs::monotonic_us();
-  std::vector<double> rates(transfers.size());
-  if (transfers.empty()) return rates;
   static const features::ContentionFeatures kIdle{};
-
-  // Group rows by serving model, then run each group through the model's
-  // flattened batch engine in one shot. Grouping only batches rows that
-  // share a model — every row is standardised with its own model's
-  // moments and walked independently, so the answers are bit-identical to
-  // per-transfer predict_rate_mbps calls.
+  // Grouping only batches rows that share a model — every row is
+  // standardised with its own model's moments and walked independently,
+  // so the answers are bit-identical to per-transfer calls in any batch
+  // composition.
   std::map<const Model*, std::vector<std::size_t>> groups;
   for (std::size_t i = 0; i < transfers.size(); ++i) {
     XFL_EXPECTS(transfers[i].bytes >= 0.0 && transfers[i].files >= 1);
     groups[&model_for({transfers[i].src, transfers[i].dst})].push_back(i);
   }
-  for (const auto& [model, indices] : groups) {
-    const bool dedicated = model != &global_model_;
-    auto& metrics = predictor_metrics();
-    (dedicated ? metrics.edge_hits : metrics.global_fallbacks)
-        .add(indices.size());
+  std::vector<ModelRows> out;
+  out.reserve(groups.size());
+  for (auto& [model, indices] : groups) {
+    ModelRows& group = out.emplace_back();
+    group.model = model;
+    group.dedicated = model != &global_model_;
     const auto& means = model->scaler.means();
     const auto& sigmas = model->scaler.sigmas();
-    ml::Matrix x(indices.size(), means.size());
+    group.x = ml::Matrix(indices.size(), means.size());
     for (std::size_t k = 0; k < indices.size(); ++k) {
       const std::size_t i = indices[k];
       const auto row = feature_vector(
           transfers[i], expected_loads.empty() ? kIdle : expected_loads[i],
-          !dedicated);
+          !group.dedicated);
       XFL_EXPECTS(row.size() == means.size());
       for (std::size_t c = 0; c < row.size(); ++c)
-        x.at(k, c) = (row[c] - means[c]) / sigmas[c];
+        group.x.at(k, c) = (row[c] - means[c]) / sigmas[c];
     }
-    std::vector<double> predicted(indices.size());
-    model->boosted->predict_batch(x, predicted, pool);
-    for (std::size_t k = 0; k < indices.size(); ++k)
-      rates[indices[k]] = std::max(predicted[k], 0.01);
+    group.rows = std::move(indices);
   }
-  predictor_metrics().batch_latency.record(
+  return out;
+}
+
+std::vector<double> TransferPredictor::predict_rates_mbps(
+    std::span<const PlannedTransfer> transfers,
+    std::span<const features::ContentionFeatures> expected_loads) const {
+  XFL_SPAN("predictor.predict_batch");
+  const std::uint64_t start_us = obs::monotonic_us();
+  std::vector<double> rates(transfers.size());
+  const std::vector<ModelRows> groups =
+      group_by_model(transfers, expected_loads);
+  if (transfers.empty()) return rates;
+  // Each group runs through its model's flattened batch engine in one shot.
+  auto& metrics = predictor_metrics();
+  for (const ModelRows& group : groups) {
+    (group.dedicated ? metrics.edge_hits : metrics.global_fallbacks)
+        .add(group.rows.size());
+    std::vector<double> predicted(group.rows.size());
+    group.model->boosted->predict_batch(group.x, predicted);
+    for (std::size_t k = 0; k < group.rows.size(); ++k)
+      rates[group.rows[k]] = std::max(predicted[k], 0.01);
+  }
+  metrics.batch_latency.record(
       static_cast<double>(obs::monotonic_us() - start_us));
   return rates;
 }
 
 std::vector<RateExplanation> TransferPredictor::explain_rates_mbps(
     std::span<const PlannedTransfer> transfers,
-    std::span<const features::ContentionFeatures> expected_loads,
-    ThreadPool* pool) const {
-  XFL_EXPECTS(fitted_);
-  XFL_EXPECTS(expected_loads.empty() ||
-              expected_loads.size() == transfers.size());
+    std::span<const features::ContentionFeatures> expected_loads) const {
   XFL_SPAN("predictor.explain_batch");
   const std::uint64_t start_us = obs::monotonic_us();
   std::vector<RateExplanation> out(transfers.size());
+  // The predict path's grouping, so the explained rate for a transfer is
+  // bit-identical to the rate the predict path serves for it.
+  const std::vector<ModelRows> groups =
+      group_by_model(transfers, expected_loads);
   if (transfers.empty()) return out;
-  static const features::ContentionFeatures kIdle{};
-
-  // Same per-model grouping and standardisation as predict_rates_mbps, so
-  // the explained rate for a transfer is bit-identical to the rate the
-  // predict path serves for it in any batch composition.
-  std::map<const Model*, std::vector<std::size_t>> groups;
-  for (std::size_t i = 0; i < transfers.size(); ++i) {
-    XFL_EXPECTS(transfers[i].bytes >= 0.0 && transfers[i].files >= 1);
-    groups[&model_for({transfers[i].src, transfers[i].dst})].push_back(i);
-  }
   auto& metrics = predictor_metrics();
-  for (const auto& [model, indices] : groups) {
-    const bool dedicated = model != &global_model_;
-    (dedicated ? metrics.explain_edge_hits : metrics.explain_global_fallbacks)
+  for (const ModelRows& group : groups) {
+    const Model* model = group.model;
+    const auto& indices = group.rows;
+    (group.dedicated ? metrics.explain_edge_hits
+                     : metrics.explain_global_fallbacks)
         .add(indices.size());
     const bool calibrated =
         model->ratio_p10 != 1.0 || model->ratio_p90 != 1.0;
     (calibrated ? metrics.explain_calibrated : metrics.explain_uncalibrated)
         .add(indices.size());
-    const auto& means = model->scaler.means();
-    const auto& sigmas = model->scaler.sigmas();
-    const std::size_t cols = means.size();
-    ml::Matrix x(indices.size(), cols);
-    for (std::size_t k = 0; k < indices.size(); ++k) {
-      const std::size_t i = indices[k];
-      const auto row = feature_vector(
-          transfers[i], expected_loads.empty() ? kIdle : expected_loads[i],
-          !dedicated);
-      XFL_EXPECTS(row.size() == cols);
-      for (std::size_t c = 0; c < cols; ++c)
-        x.at(k, c) = (row[c] - means[c]) / sigmas[c];
-    }
+    const std::size_t cols = group.x.cols();
     std::vector<double> predicted(indices.size());
     std::vector<double> bias(indices.size());
     std::vector<double> contributions(indices.size() * cols);
-    model->boosted->explain_batch(x, predicted, bias, contributions, pool);
+    model->boosted->explain_batch(group.x, predicted, bias, contributions);
     for (std::size_t k = 0; k < indices.size(); ++k) {
       RateExplanation& explanation = out[indices[k]];
       explanation.raw_mbps = predicted[k];
@@ -384,7 +376,7 @@ std::vector<RateExplanation> TransferPredictor::explain_rates_mbps(
           std::max(0.01, explanation.rate_mbps * model->ratio_p10);
       explanation.high_mbps = std::max(
           explanation.low_mbps, explanation.rate_mbps * model->ratio_p90);
-      explanation.edge_model = dedicated;
+      explanation.edge_model = group.dedicated;
       explanation.feature_names = model->feature_names;
       explanation.contributions.assign(
           contributions.begin() + static_cast<std::ptrdiff_t>(k * cols),

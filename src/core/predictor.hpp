@@ -22,10 +22,6 @@
 #include "ml/gbt.hpp"
 #include "ml/scaler.hpp"
 
-namespace xfl {
-class ThreadPool;
-}
-
 namespace xfl::core {
 
 /// A transfer about to be submitted.
@@ -146,14 +142,11 @@ class TransferPredictor {
   /// standardised into one matrix per group, and pushed through the
   /// flattened batch-inference engine — bit-identical to calling
   /// predict_rate_mbps per transfer, in any grouping. `expected_loads` is
-  /// either empty (all idle) or parallel to `transfers`. `pool` lets a
-  /// caller that already owns workers (e.g. the serve micro-batcher) fan
-  /// the flat kernel across them; results are bit-identical with or
-  /// without it. Requires fit().
+  /// either empty (all idle) or parallel to `transfers`. Requires fit().
   std::vector<double> predict_rates_mbps(
       std::span<const PlannedTransfer> transfers,
-      std::span<const features::ContentionFeatures> expected_loads = {},
-      ThreadPool* pool = nullptr) const;
+      std::span<const features::ContentionFeatures> expected_loads = {})
+      const;
 
   /// Explained batch serving path: the same per-model grouping and
   /// standardisation as predict_rates_mbps, routed through the flat
@@ -164,8 +157,8 @@ class TransferPredictor {
   /// into `predictor.attribution.<feature>` histograms. Requires fit().
   std::vector<RateExplanation> explain_rates_mbps(
       std::span<const PlannedTransfer> transfers,
-      std::span<const features::ContentionFeatures> expected_loads = {},
-      ThreadPool* pool = nullptr) const;
+      std::span<const features::ContentionFeatures> expected_loads = {})
+      const;
 
   /// Point prediction plus an empirical 10th-90th percentile band.
   /// Requires fit().
@@ -232,6 +225,19 @@ class TransferPredictor {
       const features::ContentionFeatures& expected_load,
       bool with_capabilities) const;
   const Model& model_for(const logs::EdgeKey& edge) const;
+
+  /// The rows of one batch request that share a serving model,
+  /// standardised with that model's training moments.
+  struct ModelRows {
+    const Model* model = nullptr;
+    bool dedicated = false;         ///< Per-edge model, not the global one.
+    std::vector<std::size_t> rows;  ///< Indices into the request.
+    ml::Matrix x;                   ///< Standardised features, per row.
+  };
+  /// The batch grouping predict_rates_mbps and explain_rates_mbps share.
+  std::vector<ModelRows> group_by_model(
+      std::span<const PlannedTransfer> transfers,
+      std::span<const features::ContentionFeatures> expected_loads) const;
 
   Options options_;
   bool fitted_ = false;

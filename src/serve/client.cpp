@@ -145,182 +145,152 @@ std::string PredictionClient::read_line() {
   }
 }
 
+namespace {
+
+// Typed reads of one optional reply field; a missing or mistyped field
+// leaves the default in place.
+void read_field(const JsonValue& root, const char* key, std::string& out) {
+  if (const JsonValue* v = root.find(key); v && v->is_string()) out = v->string;
+}
+
+void read_field(const JsonValue& root, const char* key, double& out) {
+  if (const JsonValue* v = root.find(key); v && v->is_number()) out = v->number;
+}
+
+void read_field(const JsonValue& root, const char* key, std::uint64_t& out) {
+  if (const JsonValue* v = root.find(key); v && v->is_number())
+    out = static_cast<std::uint64_t>(v->number);
+}
+
+void read_field(const JsonValue& root, const char* key, bool& out) {
+  if (const JsonValue* v = root.find(key); v && v->is_bool()) out = v->boolean;
+}
+
+/// The JSON reply decoder.
+PredictReply reply_from_json(const JsonValue& root) {
+  PredictReply reply;
+  read_field(root, "id", reply.id);
+  read_field(root, "ok", reply.ok);
+  read_field(root, "rate_mbps", reply.rate_mbps);
+  read_field(root, "model", reply.model);
+  read_field(root, "version", reply.model_version);
+  read_field(root, "trace_id", reply.trace_id);
+  read_field(root, "server_ms", reply.server_ms);
+  read_field(root, "error", reply.error);
+  read_field(root, "message", reply.message);
+  read_field(root, "raw_mbps", reply.raw_mbps);
+  read_field(root, "bias_mbps", reply.bias_mbps);
+  read_field(root, "low_mbps", reply.low_mbps);
+  read_field(root, "high_mbps", reply.high_mbps);
+  if (const JsonValue* c = root.find("contributions"); c && c->is_array())
+    for (const JsonValue& entry : c->array) {
+      const JsonValue* feature = entry.find("feature");
+      const JsonValue* mbps = entry.find("mbps");
+      if (feature && feature->is_string() && mbps && mbps->is_number())
+        reply.contributions.emplace_back(feature->string, mbps->number);
+    }
+  return reply;
+}
+
+/// A packed reply as the client's one reply type.
+PredictReply reply_from_packed(const BinaryPredictReply& packed) {
+  PredictReply reply;
+  reply.id = std::to_string(packed.id);
+  reply.ok = packed.ok;
+  reply.rate_mbps = packed.rate_mbps;
+  if (packed.ok) reply.model = packed.edge_model ? "edge" : "global";
+  reply.model_version = packed.model_version;
+  if (packed.trace_id != 0) reply.trace_id = trace_id_string(packed.trace_id);
+  reply.server_ms = packed.server_ms;
+  reply.error = packed.error;
+  reply.message = packed.message;
+  reply.raw_mbps = packed.raw_mbps;
+  reply.bias_mbps = packed.bias_mbps;
+  reply.low_mbps = packed.low_mbps;
+  reply.high_mbps = packed.high_mbps;
+  reply.contributions = packed.contributions;
+  return reply;
+}
+
+}  // namespace
+
 PredictReply PredictionClient::parse_reply(const std::string& line) {
   const JsonValue root = parse_json(line);
   if (!root.is_object())
     throw std::runtime_error("PredictionClient: reply is not an object");
-  PredictReply reply;
-  if (const JsonValue* id = root.find("id"); id && id->is_string())
-    reply.id = id->string;
-  if (const JsonValue* ok = root.find("ok"); ok && ok->is_bool())
-    reply.ok = ok->boolean;
-  if (const JsonValue* rate = root.find("rate_mbps"); rate && rate->is_number())
-    reply.rate_mbps = rate->number;
-  if (const JsonValue* model = root.find("model"); model && model->is_string())
-    reply.model = model->string;
-  if (const JsonValue* v = root.find("version"); v && v->is_number())
-    reply.model_version = static_cast<std::uint64_t>(v->number);
-  if (const JsonValue* trace = root.find("trace_id");
-      trace && trace->is_string())
-    reply.trace_id = trace->string;
-  if (const JsonValue* ms = root.find("server_ms"); ms && ms->is_number())
-    reply.server_ms = ms->number;
-  if (const JsonValue* error = root.find("error"); error && error->is_string())
-    reply.error = error->string;
-  if (const JsonValue* msg = root.find("message"); msg && msg->is_string())
-    reply.message = msg->string;
-  return reply;
+  return reply_from_json(root);
 }
 
-PredictReply PredictionClient::round_trip(const std::string& line,
-                                          const std::string& id) {
+JsonValue PredictionClient::round_trip(const std::string& line,
+                                       const std::string& id) {
   send_document(line);
   // Replies can be reordered by the batcher relative to other traffic on
   // this connection, so spin until ours appears.
   for (;;) {
-    const PredictReply reply = parse_reply(read_document());
-    if (reply.id == id) return reply;
+    JsonValue root = parse_json(read_document());
+    if (!root.is_object())
+      throw std::runtime_error("PredictionClient: reply is not an object");
+    const JsonValue* reply_id = root.find("id");
+    if (reply_id != nullptr && reply_id->is_string() &&
+        reply_id->string == id)
+      return root;
+  }
+}
+
+PredictReply PredictionClient::ask(const core::PlannedTransfer& transfer,
+                                   const features::ContentionFeatures& load,
+                                   std::uint64_t deadline_ms, bool explain,
+                                   std::uint16_t top_k) {
+  const std::uint64_t numeric_id = next_id_++;
+  const std::string id = std::to_string(numeric_id);
+  if (!binary_)
+    return reply_from_json(round_trip(
+        explain ? explain_request_line(id, transfer, load, deadline_ms, top_k)
+                : predict_request_line(id, transfer, load, deadline_ms),
+        id));
+  // Packed hot path: kPredict/kExplain out, kPredictOk/kExplainOk/kError
+  // back, ids numeric.
+  send_raw(explain ? binary_explain_request(numeric_id, transfer, load,
+                                            deadline_ms, top_k)
+                   : binary_predict_request(numeric_id, transfer, load,
+                                            deadline_ms));
+  for (;;) {
+    auto [type, payload] = read_frame();
+    if (type == BinaryType::kJson) continue;  // Pipelined admin traffic.
+    const BinaryPredictReply packed = parse_binary_reply(type, payload);
+    if (packed.id == numeric_id) return reply_from_packed(packed);
   }
 }
 
 PredictReply PredictionClient::predict(
     const core::PlannedTransfer& transfer,
     const features::ContentionFeatures& load, std::uint64_t deadline_ms) {
-  const std::uint64_t numeric_id = next_id_++;
-  const std::string id = std::to_string(numeric_id);
-  if (!binary_)
-    return round_trip(predict_request_line(id, transfer, load, deadline_ms),
-                      id);
-  // Packed hot path: kPredict out, kPredictOk/kError back, ids numeric.
-  send_raw(binary_predict_request(numeric_id, transfer, load, deadline_ms));
-  for (;;) {
-    auto [type, payload] = read_frame();
-    if (type == BinaryType::kJson) continue;  // Pipelined admin traffic.
-    const BinaryPredictReply packed = parse_binary_reply(type, payload);
-    if (packed.id != numeric_id) continue;
-    PredictReply reply;
-    reply.id = id;
-    reply.ok = packed.ok;
-    reply.rate_mbps = packed.rate_mbps;
-    if (packed.ok) reply.model = packed.edge_model ? "edge" : "global";
-    reply.model_version = packed.model_version;
-    if (packed.trace_id != 0) reply.trace_id = trace_id_string(packed.trace_id);
-    reply.server_ms = packed.server_ms;
-    reply.error = packed.error;
-    reply.message = packed.message;
-    return reply;
-  }
+  return ask(transfer, load, deadline_ms, /*explain=*/false, 0);
 }
 
-ExplainReply PredictionClient::explain(
+PredictReply PredictionClient::explain(
     const core::PlannedTransfer& transfer,
     const features::ContentionFeatures& load, std::uint64_t deadline_ms,
     std::uint16_t top_k) {
-  const std::uint64_t numeric_id = next_id_++;
-  const std::string id = std::to_string(numeric_id);
-  ExplainReply reply;
-  reply.id = id;
-  if (!binary_) {
-    send_document(explain_request_line(id, transfer, load, deadline_ms,
-                                       top_k));
-    for (;;) {
-      const JsonValue root = parse_json(read_document());
-      const JsonValue* reply_id = root.find("id");
-      if (reply_id == nullptr || !reply_id->is_string() ||
-          reply_id->string != id)
-        continue;
-      if (const JsonValue* ok = root.find("ok"); ok && ok->is_bool())
-        reply.ok = ok->boolean;
-      if (const JsonValue* v = root.find("rate_mbps"); v && v->is_number())
-        reply.rate_mbps = v->number;
-      if (const JsonValue* v = root.find("raw_mbps"); v && v->is_number())
-        reply.raw_mbps = v->number;
-      if (const JsonValue* v = root.find("bias_mbps"); v && v->is_number())
-        reply.bias_mbps = v->number;
-      if (const JsonValue* v = root.find("low_mbps"); v && v->is_number())
-        reply.low_mbps = v->number;
-      if (const JsonValue* v = root.find("high_mbps"); v && v->is_number())
-        reply.high_mbps = v->number;
-      if (const JsonValue* m = root.find("model"); m && m->is_string())
-        reply.model = m->string;
-      if (const JsonValue* v = root.find("version"); v && v->is_number())
-        reply.model_version = static_cast<std::uint64_t>(v->number);
-      if (const JsonValue* t = root.find("trace_id"); t && t->is_string())
-        reply.trace_id = t->string;
-      if (const JsonValue* v = root.find("server_ms"); v && v->is_number())
-        reply.server_ms = v->number;
-      if (const JsonValue* c = root.find("contributions");
-          c && c->is_array()) {
-        for (const JsonValue& entry : c->array) {
-          if (!entry.is_object()) continue;
-          const JsonValue* feature = entry.find("feature");
-          const JsonValue* mbps = entry.find("mbps");
-          if (feature && feature->is_string() && mbps && mbps->is_number())
-            reply.contributions.emplace_back(feature->string, mbps->number);
-        }
-      }
-      if (const JsonValue* e = root.find("error"); e && e->is_string())
-        reply.error = e->string;
-      if (const JsonValue* m = root.find("message"); m && m->is_string())
-        reply.message = m->string;
-      return reply;
-    }
-  }
-  send_raw(binary_explain_request(numeric_id, transfer, load, deadline_ms,
-                                  top_k));
-  for (;;) {
-    auto [type, payload] = read_frame();
-    if (type == BinaryType::kJson) continue;  // Pipelined admin traffic.
-    const BinaryPredictReply packed = parse_binary_reply(type, payload);
-    if (packed.id != numeric_id) continue;
-    reply.ok = packed.ok;
-    reply.rate_mbps = packed.rate_mbps;
-    reply.raw_mbps = packed.raw_mbps;
-    reply.bias_mbps = packed.bias_mbps;
-    reply.low_mbps = packed.low_mbps;
-    reply.high_mbps = packed.high_mbps;
-    if (packed.ok) reply.model = packed.edge_model ? "edge" : "global";
-    reply.model_version = packed.model_version;
-    if (packed.trace_id != 0) reply.trace_id = trace_id_string(packed.trace_id);
-    reply.server_ms = packed.server_ms;
-    reply.contributions = packed.contributions;
-    reply.error = packed.error;
-    reply.message = packed.message;
-    return reply;
-  }
+  return ask(transfer, load, deadline_ms, /*explain=*/true, top_k);
 }
 
 FeedbackReply PredictionClient::feedback(const std::string& trace_id,
                                          double observed_mbps) {
   const std::string id = std::to_string(next_id_++);
-  send_document(feedback_request_line(id, trace_id, observed_mbps));
-  for (;;) {
-    const JsonValue root = parse_json(read_document());
-    const JsonValue* reply_id = root.find("id");
-    if (reply_id == nullptr || !reply_id->is_string() ||
-        reply_id->string != id)
-      continue;
-    FeedbackReply reply;
-    reply.id = id;
-    if (const JsonValue* ok = root.find("ok"); ok && ok->is_bool())
-      reply.ok = ok->boolean;
-    if (const JsonValue* m = root.find("matched"); m && m->is_bool())
-      reply.matched = m->boolean;
-    if (const JsonValue* v = root.find("ape_pct"); v && v->is_number())
-      reply.ape_pct = v->number;
-    if (const JsonValue* v = root.find("predicted_mbps");
-        v && v->is_number())
-      reply.predicted_mbps = v->number;
-    if (const JsonValue* v = root.find("version"); v && v->is_number())
-      reply.model_version = static_cast<std::uint64_t>(v->number);
-    if (const JsonValue* v = root.find("mdape_pct"); v && v->is_number())
-      reply.mdape_pct = v->number;
-    if (const JsonValue* v = root.find("window"); v && v->is_number())
-      reply.window = static_cast<std::uint64_t>(v->number);
-    if (const JsonValue* a = root.find("alarm"); a && a->is_bool())
-      reply.alarm = a->boolean;
-    return reply;
-  }
+  const JsonValue root =
+      round_trip(feedback_request_line(id, trace_id, observed_mbps), id);
+  FeedbackReply reply;
+  reply.id = id;
+  read_field(root, "ok", reply.ok);
+  read_field(root, "matched", reply.matched);
+  read_field(root, "ape_pct", reply.ape_pct);
+  read_field(root, "predicted_mbps", reply.predicted_mbps);
+  read_field(root, "version", reply.model_version);
+  read_field(root, "mdape_pct", reply.mdape_pct);
+  read_field(root, "window", reply.window);
+  read_field(root, "alarm", reply.alarm);
+  return reply;
 }
 
 bool PredictionClient::ping() {
@@ -328,7 +298,7 @@ bool PredictionClient::ping() {
   std::string line = "{\"cmd\":\"ping\",\"id\":";
   append_json_string(line, id);
   line += "}";
-  return round_trip(line, id).ok;
+  return reply_from_json(round_trip(line, id)).ok;
 }
 
 std::uint64_t PredictionClient::reload(const std::string& path) {
@@ -340,7 +310,7 @@ std::uint64_t PredictionClient::reload(const std::string& path) {
     append_json_string(line, path);
   }
   line += "}";
-  const PredictReply reply = round_trip(line, id);
+  const PredictReply reply = reply_from_json(round_trip(line, id));
   if (!reply.ok)
     throw std::runtime_error("PredictionClient: reload failed: " +
                              reply.message);
@@ -353,14 +323,7 @@ JsonValue PredictionClient::stats(bool registry) {
   append_json_string(line, id);
   if (registry) line += ",\"registry\":true";
   line += "}";
-  send_document(line);
-  for (;;) {
-    const JsonValue root = parse_json(read_document());
-    const JsonValue* reply_id = root.find("id");
-    if (reply_id != nullptr && reply_id->is_string() &&
-        reply_id->string == id)
-      return root;
-  }
+  return round_trip(line, id);
 }
 
 JsonValue PredictionClient::retrain_status() {
@@ -368,14 +331,7 @@ JsonValue PredictionClient::retrain_status() {
   std::string line = "{\"cmd\":\"retrain-status\",\"id\":";
   append_json_string(line, id);
   line += "}";
-  send_document(line);
-  for (;;) {
-    const JsonValue root = parse_json(read_document());
-    const JsonValue* reply_id = root.find("id");
-    if (reply_id != nullptr && reply_id->is_string() &&
-        reply_id->string == id)
-      return root;
-  }
+  return round_trip(line, id);
 }
 
 }  // namespace xfl::serve

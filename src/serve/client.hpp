@@ -25,7 +25,9 @@
 
 namespace xfl::serve {
 
-/// One server reply, decoded. For admin replies rate_mbps/model are unset.
+/// One server reply, decoded from either framing. For admin replies
+/// rate_mbps/model are unset; the attribution fields are set only by
+/// explain replies.
 struct PredictReply {
   std::string id;
   bool ok = false;
@@ -36,26 +38,14 @@ struct PredictReply {
   double server_ms = 0.0; ///< In-server latency reported by the server.
   std::string error;  ///< Protocol error code when !ok.
   std::string message;
-};
-
-/// One decoded explain reply. Contributions come back in the server's
-/// ranked order (|mbps| descending, ties in model feature order) and sum
-/// with bias_mbps to raw_mbps bit-exactly when top_k did not truncate.
-struct ExplainReply {
-  std::string id;
-  bool ok = false;
-  double rate_mbps = 0.0;
+  // Explain replies: contributions come back in the server's ranked
+  // order (|mbps| descending, ties in model feature order) and sum with
+  // bias_mbps to raw_mbps bit-exactly when top_k did not truncate.
   double raw_mbps = 0.0;
   double bias_mbps = 0.0;
   double low_mbps = 0.0;
   double high_mbps = 0.0;
-  std::string model;  ///< "edge" or "global" on success.
-  std::uint64_t model_version = 0;
-  std::string trace_id;
-  double server_ms = 0.0;
   std::vector<std::pair<std::string, double>> contributions;
-  std::string error;  ///< Protocol error code when !ok.
-  std::string message;
 };
 
 /// One decoded feedback reply.
@@ -90,7 +80,7 @@ class PredictionClient {
   /// predict() plus per-feature attribution. `top_k` keeps only the
   /// strongest contributions (0 = all). Travels as an "explain" JSON
   /// request or a kExplain frame after negotiate_binary().
-  ExplainReply explain(const core::PlannedTransfer& transfer,
+  PredictReply explain(const core::PlannedTransfer& transfer,
                        const features::ContentionFeatures& load = {},
                        std::uint64_t deadline_ms = 0,
                        std::uint16_t top_k = 0);
@@ -137,7 +127,13 @@ class PredictionClient {
   bool response_buffered() const;
 
  private:
-  PredictReply round_trip(const std::string& line, const std::string& id);
+  /// The send/await path predict() and explain() share.
+  PredictReply ask(const core::PlannedTransfer& transfer,
+                   const features::ContentionFeatures& load,
+                   std::uint64_t deadline_ms, bool explain,
+                   std::uint16_t top_k);
+  /// Send one JSON document and block for the JSON reply carrying `id`.
+  JsonValue round_trip(const std::string& line, const std::string& id);
   /// Send one JSON document over whichever framing is active.
   void send_document(const std::string& line);
   /// Block for one JSON document (a line, or a kJson frame's payload).

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 
 #include "common/contracts.hpp"
@@ -19,6 +20,64 @@ struct FrameError : std::runtime_error {
 
 [[noreturn]] void reject(const std::string& what) { throw FrameError(what); }
 
+/// The contention load fields in wire order: the JSON "load" keys and the
+/// packed load block both follow this table.
+constexpr struct {
+  const char* key;
+  double features::ContentionFeatures::*member;
+} kLoadFields[] = {
+    {"k_sout", &features::ContentionFeatures::k_sout},
+    {"k_sin", &features::ContentionFeatures::k_sin},
+    {"k_dout", &features::ContentionFeatures::k_dout},
+    {"k_din", &features::ContentionFeatures::k_din},
+    {"g_src", &features::ContentionFeatures::g_src},
+    {"g_dst", &features::ContentionFeatures::g_dst},
+    {"s_sout", &features::ContentionFeatures::s_sout},
+    {"s_sin", &features::ContentionFeatures::s_sin},
+    {"s_dout", &features::ContentionFeatures::s_dout},
+    {"s_din", &features::ContentionFeatures::s_din},
+};
+
+/// True when any contention field is set; idle loads are elided on the
+/// wire (the server defaults them identically).
+bool any_load(const features::ContentionFeatures& load) {
+  for (const auto& field : kLoadFields)
+    if (load.*field.member != 0.0) return true;
+  return false;
+}
+
+/// Narrow a wire integer into a smaller field, saturating: every range
+/// limit below sits under the narrow type's maximum, so a saturated value
+/// is still rejected instead of wrapping into range.
+template <typename T>
+T saturate(std::uint64_t value) {
+  return static_cast<T>(
+      std::min<std::uint64_t>(value, std::numeric_limits<T>::max()));
+}
+
+/// The range rules of a predict request, shared by both request codecs.
+/// Returns the reason for rejecting it (worded as the JSON parser always
+/// worded it), or an empty string.
+std::string check_predict(const PredictRequest& request) {
+  const core::PlannedTransfer& t = request.transfer;
+  if (t.src > (1u << 30)) return "field 'src' out of range";
+  if (t.dst > (1u << 30)) return "field 'dst' out of range";
+  if (!(t.bytes >= 0.0) || !std::isfinite(t.bytes))
+    return "'bytes' must be finite and non-negative";
+  if (t.files < 1 || t.files > (1ull << 40)) return "field 'files' out of range";
+  if (t.dirs < 1 || t.dirs > (1ull << 40)) return "field 'dirs' out of range";
+  if (t.concurrency < 1 || t.concurrency > (1u << 20))
+    return "field 'concurrency' out of range";
+  if (t.parallelism < 1 || t.parallelism > (1u << 20))
+    return "field 'parallelism' out of range";
+  if (request.deadline_ms > 86400u * 1000u)
+    return "field 'deadline_ms' out of range";
+  for (const auto& field : kLoadFields)
+    if (!std::isfinite(request.load.*field.member))
+      return std::string("load field '") + field.key + "' must be finite";
+  return {};
+}
+
 std::string extract_id(const JsonValue& root) {
   const JsonValue* id = root.find("id");
   if (id == nullptr) return {};
@@ -34,20 +93,17 @@ double require_number(const JsonValue& object, const std::string& key) {
   return v->number;
 }
 
-/// Optional non-negative integral field with a default and an upper cap.
+/// Optional non-negative integral field with a default. Ranges are
+/// check_predict's business; this only checks the JSON shape.
 std::uint64_t integral_or(const JsonValue& object, const std::string& key,
-                          std::uint64_t fallback, std::uint64_t min_value,
-                          std::uint64_t max_value) {
+                          std::uint64_t fallback) {
   const JsonValue* v = object.find(key);
   if (v == nullptr) return fallback;
   if (!v->is_number()) reject("field '" + key + "' must be a number");
   const double d = v->number;
   if (!(d >= 0.0) || d != std::floor(d) || d > 9.007199254740992e15)
     reject("field '" + key + "' must be a non-negative integer");
-  const auto n = static_cast<std::uint64_t>(d);
-  if (n < min_value || n > max_value)
-    reject("field '" + key + "' out of range");
-  return n;
+  return static_cast<std::uint64_t>(d);
 }
 
 features::ContentionFeatures parse_load(const JsonValue& load) {
@@ -55,20 +111,12 @@ features::ContentionFeatures parse_load(const JsonValue& load) {
   features::ContentionFeatures features;
   for (const auto& [key, value] : load.object) {
     if (!value.is_number()) reject("load field '" + key + "' must be a number");
-    double* slot = nullptr;
-    if (key == "k_sout") slot = &features.k_sout;
-    else if (key == "k_sin") slot = &features.k_sin;
-    else if (key == "k_dout") slot = &features.k_dout;
-    else if (key == "k_din") slot = &features.k_din;
-    else if (key == "g_src") slot = &features.g_src;
-    else if (key == "g_dst") slot = &features.g_dst;
-    else if (key == "s_sout") slot = &features.s_sout;
-    else if (key == "s_sin") slot = &features.s_sin;
-    else if (key == "s_dout") slot = &features.s_dout;
-    else if (key == "s_din") slot = &features.s_din;
-    else reject("unknown load field '" + key + "'");
-    if (!std::isfinite(value.number)) reject("load field '" + key + "' must be finite");
-    *slot = value.number;
+    const auto field =
+        std::find_if(std::begin(kLoadFields), std::end(kLoadFields),
+                     [&key](const auto& f) { return key == f.key; });
+    if (field == std::end(kLoadFields))
+      reject("unknown load field '" + key + "'");
+    features.*field->member = value.number;
   }
   return features;
 }
@@ -131,8 +179,7 @@ Frame parse_feedback(const JsonValue& root, std::string id) {
 Frame parse_predict(const JsonValue& root, std::string id) {
   Frame frame;
   frame.kind = Frame::Kind::kPredict;
-  frame.id = id;
-  frame.predict.id = std::move(id);
+  frame.id = std::move(id);
 
   for (const auto& [key, value] : root.object) {
     (void)value;
@@ -143,48 +190,38 @@ Frame parse_predict(const JsonValue& root, std::string id) {
       reject("unknown field '" + key + "'");
   }
 
+  auto& request = frame.predict;
   if (const JsonValue* explain = root.find("explain")) {
     if (!explain->is_bool()) reject("'explain' must be a boolean");
-    frame.predict.explain = explain->boolean;
+    request.explain = explain->boolean;
   }
-  frame.predict.top_k =
-      static_cast<std::uint16_t>(integral_or(root, "top_k", 0, 0, 0xffff));
-  if (root.find("top_k") != nullptr && !frame.predict.explain)
-    reject("'top_k' is only valid with 'explain'");
+  if (root.find("top_k") != nullptr) {
+    if (!request.explain) reject("'top_k' is only valid with 'explain'");
+    const std::uint64_t top_k = integral_or(root, "top_k", 0);
+    if (top_k > 0xffff) reject("field 'top_k' out of range");
+    request.top_k = static_cast<std::uint16_t>(top_k);
+  }
 
-  auto& transfer = frame.predict.transfer;
-  transfer.src = static_cast<endpoint::EndpointId>(
-      integral_or(root, "src", 0, 0, 1u << 30));
+  auto& transfer = request.transfer;
   if (root.find("src") == nullptr) reject("missing required field 'src'");
-  transfer.dst = static_cast<endpoint::EndpointId>(
-      integral_or(root, "dst", 0, 0, 1u << 30));
   if (root.find("dst") == nullptr) reject("missing required field 'dst'");
+  transfer.src = saturate<endpoint::EndpointId>(integral_or(root, "src", 0));
+  transfer.dst = saturate<endpoint::EndpointId>(integral_or(root, "dst", 0));
   transfer.bytes = require_number(root, "bytes");
-  if (!(transfer.bytes >= 0.0) || !std::isfinite(transfer.bytes))
-    reject("'bytes' must be finite and non-negative");
-  transfer.files = integral_or(root, "files", 1, 1, 1ull << 40);
-  transfer.dirs = integral_or(root, "dirs", 1, 1, 1ull << 40);
-  transfer.concurrency = static_cast<std::uint32_t>(
-      integral_or(root, "concurrency", 4, 1, 1u << 20));
-  transfer.parallelism = static_cast<std::uint32_t>(
-      integral_or(root, "parallelism", 4, 1, 1u << 20));
-  frame.predict.deadline_ms =
-      integral_or(root, "deadline_ms", 0, 0, 86400u * 1000u);
+  transfer.files = integral_or(root, "files", transfer.files);
+  transfer.dirs = integral_or(root, "dirs", transfer.dirs);
+  transfer.concurrency = saturate<std::uint32_t>(
+      integral_or(root, "concurrency", transfer.concurrency));
+  transfer.parallelism = saturate<std::uint32_t>(
+      integral_or(root, "parallelism", transfer.parallelism));
+  request.deadline_ms = integral_or(root, "deadline_ms", 0);
   if (const JsonValue* load = root.find("load"))
-    frame.predict.load = parse_load(*load);
+    request.load = parse_load(*load);
+  if (std::string why = check_predict(request); !why.empty()) reject(why);
   return frame;
 }
 
-/// True when any contention field is set; idle loads are elided on the
-/// wire (the server defaults them identically).
-bool any_load(const features::ContentionFeatures& load) {
-  return load.k_sout != 0.0 || load.k_sin != 0.0 || load.k_dout != 0.0 ||
-         load.k_din != 0.0 || load.g_src != 0.0 || load.g_dst != 0.0 ||
-         load.s_sout != 0.0 || load.s_sin != 0.0 || load.s_dout != 0.0 ||
-         load.s_din != 0.0;
-}
-
-void append_field(std::string& out, const char* key, const std::string& value,
+void append_field(std::string& out, const char* key, std::string_view value,
                   bool quote = false) {
   if (out.back() != '{') out.push_back(',');
   append_json_string(out, key);
@@ -270,21 +307,30 @@ std::string request_line(const std::string& id,
   }
   if (any_load(load)) {
     std::string nested = "{";
-    append_field(nested, "k_sout", json_number(load.k_sout));
-    append_field(nested, "k_sin", json_number(load.k_sin));
-    append_field(nested, "k_dout", json_number(load.k_dout));
-    append_field(nested, "k_din", json_number(load.k_din));
-    append_field(nested, "g_src", json_number(load.g_src));
-    append_field(nested, "g_dst", json_number(load.g_dst));
-    append_field(nested, "s_sout", json_number(load.s_sout));
-    append_field(nested, "s_sin", json_number(load.s_sin));
-    append_field(nested, "s_dout", json_number(load.s_dout));
-    append_field(nested, "s_din", json_number(load.s_din));
+    for (const auto& field : kLoadFields)
+      append_field(nested, field.key, json_number(load.*field.member));
     nested.push_back('}');
     append_field(out, "load", nested);
   }
   out += "}\n";
   return out;
+}
+
+/// Feature indices ordered by |contribution| descending (ties keep the
+/// model's feature order), truncated to top_k when top_k > 0. Both
+/// encoders write the explain block in this order, so the framings agree
+/// on which contributions a truncated reply keeps.
+std::vector<std::size_t> attribution_order(
+    const std::vector<double>& contributions, std::uint16_t top_k) {
+  std::vector<std::size_t> order(contributions.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::stable_sort(order.begin(), order.end(),
+                   [&contributions](std::size_t a, std::size_t b) {
+                     return std::abs(contributions[a]) >
+                            std::abs(contributions[b]);
+                   });
+  if (top_k > 0 && top_k < order.size()) order.resize(top_k);
+  return order;
 }
 
 }  // namespace
@@ -316,100 +362,103 @@ std::string feedback_request_line(const std::string& id,
   return out;
 }
 
-std::string predict_response(const std::string& id, double rate_mbps,
-                             bool edge_model, std::uint64_t model_version,
-                             std::uint64_t trace_id, double server_ms) {
+Reply Reply::predicted(double rate_mbps, bool edge_model,
+                       std::uint64_t model_version, std::uint64_t trace_id,
+                       double server_ms) {
+  Reply reply;
+  reply.rate_mbps = rate_mbps;
+  reply.edge_model = edge_model;
+  reply.model_version = model_version;
+  reply.trace_id = trace_id;
+  reply.server_ms = server_ms;
+  return reply;
+}
+
+Reply Reply::explained(const core::RateExplanation& explanation,
+                       std::uint64_t model_version, std::uint64_t trace_id,
+                       double server_ms, std::uint16_t top_k) {
+  Reply reply = predicted(explanation.rate_mbps, explanation.edge_model,
+                          model_version, trace_id, server_ms);
+  reply.explanation = &explanation;
+  reply.top_k = top_k;
+  return reply;
+}
+
+Reply Reply::failed(const char* code, std::string_view message,
+                    std::uint64_t trace_id, double server_ms) {
+  Reply reply;
+  reply.error = code;
+  reply.message = message;
+  reply.trace_id = trace_id;
+  reply.server_ms = server_ms;
+  return reply;
+}
+
+std::string json_reply(const std::string& id, const Reply& reply) {
+  const bool ok = reply.error == nullptr;
+  const core::RateExplanation* explained = ok ? reply.explanation : nullptr;
   std::string out = "{";
   append_field(out, "id", id, /*quote=*/true);
-  append_field(out, "ok", "true");
-  append_field(out, "rate_mbps", json_number(rate_mbps));
-  append_field(out, "model", edge_model ? "edge" : "global", /*quote=*/true);
-  append_field(out, "version", std::to_string(model_version));
-  append_field(out, "trace_id", trace_id_string(trace_id), /*quote=*/true);
-  append_field(out, "server_ms", json_number(server_ms));
+  append_field(out, "ok", ok ? "true" : "false");
+  if (ok) {
+    append_field(out, "rate_mbps", json_number(reply.rate_mbps));
+    if (explained != nullptr) {
+      append_field(out, "raw_mbps", json_number(explained->raw_mbps));
+      append_field(out, "bias_mbps", json_number(explained->bias_mbps));
+      append_field(out, "low_mbps", json_number(explained->low_mbps));
+      append_field(out, "high_mbps", json_number(explained->high_mbps));
+    }
+    append_field(out, "model", reply.edge_model ? "edge" : "global",
+                 /*quote=*/true);
+    append_field(out, "version", std::to_string(reply.model_version));
+  } else {
+    append_field(out, "error", reply.error, /*quote=*/true);
+    append_field(out, "message", reply.message, /*quote=*/true);
+  }
+  if (ok || reply.trace_id != 0) {
+    append_field(out, "trace_id", trace_id_string(reply.trace_id),
+                 /*quote=*/true);
+    append_field(out, "server_ms", json_number(reply.server_ms));
+  }
+  if (explained != nullptr) {
+    std::string entries = "[";
+    for (const std::size_t c :
+         attribution_order(explained->contributions, reply.top_k)) {
+      if (entries.back() != '[') entries.push_back(',');
+      std::string entry = "{";
+      append_field(entry, "feature", explained->feature_names[c],
+                   /*quote=*/true);
+      append_field(entry, "mbps", json_number(explained->contributions[c]));
+      entry.push_back('}');
+      entries += entry;
+    }
+    entries.push_back(']');
+    append_field(out, "contributions", entries);
+  }
   out += "}\n";
   return out;
 }
 
-namespace {
-
-/// Feature indices ordered by |contribution| descending (ties keep the
-/// model's feature order), truncated to top_k when top_k > 0. Shared by
-/// the JSON and binary explain reply builders so both protocols agree on
-/// which contributions a truncated reply keeps.
-std::vector<std::size_t> attribution_order(
-    const std::vector<double>& contributions, std::uint16_t top_k) {
-  std::vector<std::size_t> order(contributions.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(),
-                   [&contributions](std::size_t a, std::size_t b) {
-                     return std::abs(contributions[a]) >
-                            std::abs(contributions[b]);
-                   });
-  if (top_k > 0 && top_k < order.size()) order.resize(top_k);
-  return order;
+std::string predict_response(const std::string& id, double rate_mbps,
+                             bool edge_model, std::uint64_t model_version,
+                             std::uint64_t trace_id, double server_ms) {
+  return json_reply(id, Reply::predicted(rate_mbps, edge_model, model_version,
+                                         trace_id, server_ms));
 }
-
-}  // namespace
 
 std::string explain_response(const std::string& id,
                              const core::RateExplanation& explanation,
                              std::uint64_t model_version,
                              std::uint64_t trace_id, double server_ms,
                              std::uint16_t top_k) {
-  std::string out = "{";
-  append_field(out, "id", id, /*quote=*/true);
-  append_field(out, "ok", "true");
-  append_field(out, "rate_mbps", json_number(explanation.rate_mbps));
-  append_field(out, "raw_mbps", json_number(explanation.raw_mbps));
-  append_field(out, "bias_mbps", json_number(explanation.bias_mbps));
-  append_field(out, "low_mbps", json_number(explanation.low_mbps));
-  append_field(out, "high_mbps", json_number(explanation.high_mbps));
-  append_field(out, "model", explanation.edge_model ? "edge" : "global",
-               /*quote=*/true);
-  append_field(out, "version", std::to_string(model_version));
-  append_field(out, "trace_id", trace_id_string(trace_id), /*quote=*/true);
-  append_field(out, "server_ms", json_number(server_ms));
-  const auto order = attribution_order(explanation.contributions, top_k);
-  std::string entries = "[";
-  for (const std::size_t c : order) {
-    if (entries.back() != '[') entries.push_back(',');
-    std::string entry = "{";
-    append_field(entry, "feature", explanation.feature_names[c],
-                 /*quote=*/true);
-    append_field(entry, "mbps", json_number(explanation.contributions[c]));
-    entry.push_back('}');
-    entries += entry;
-  }
-  entries.push_back(']');
-  append_field(out, "contributions", entries);
-  out += "}\n";
-  return out;
-}
-
-std::string error_response(const std::string& id, const char* code,
-                           const std::string& message) {
-  std::string out = "{";
-  append_field(out, "id", id, /*quote=*/true);
-  append_field(out, "ok", "false");
-  append_field(out, "error", code, /*quote=*/true);
-  append_field(out, "message", message, /*quote=*/true);
-  out += "}\n";
-  return out;
+  return json_reply(id, Reply::explained(explanation, model_version, trace_id,
+                                         server_ms, top_k));
 }
 
 std::string error_response(const std::string& id, const char* code,
                            const std::string& message,
                            std::uint64_t trace_id, double server_ms) {
-  std::string out = "{";
-  append_field(out, "id", id, /*quote=*/true);
-  append_field(out, "ok", "false");
-  append_field(out, "error", code, /*quote=*/true);
-  append_field(out, "message", message, /*quote=*/true);
-  append_field(out, "trace_id", trace_id_string(trace_id), /*quote=*/true);
-  append_field(out, "server_ms", json_number(server_ms));
-  out += "}\n";
-  return out;
+  return json_reply(id, Reply::failed(code, message, trace_id, server_ms));
 }
 
 std::string feedback_response(const std::string& id,
@@ -598,6 +647,14 @@ void put_f64(std::string& out, double v) {
   put_u64(out, bits);
 }
 
+/// u16 length + bytes. The cap keeps the frame bounded whatever the text
+/// source; a truncated message beats an unparseable frame.
+void put_text(std::string& out, std::string_view text) {
+  const std::size_t length = std::min<std::size_t>(text.size(), 0xffff);
+  put_u16(out, static_cast<std::uint16_t>(length));
+  out.append(text.data(), length);
+}
+
 /// Bounds-checked cursor over a payload; every read either succeeds in
 /// full or returns false with the cursor untouched — no partial reads,
 /// no access past the view.
@@ -653,10 +710,16 @@ struct Cursor {
     return true;
   }
 
-  bool bytes(std::string& v, std::size_t n) {
-    if (remaining() < n) return false;
-    v.assign(data + off, n);
-    off += n;
+  /// The put_text form: u16 length + bytes.
+  bool text(std::string& v) {
+    const std::size_t at = off;
+    std::uint16_t length = 0;
+    if (!u16(length) || remaining() < length) {
+      off = at;
+      return false;
+    }
+    v.assign(data + off, length);
+    off += length;
     return true;
   }
 };
@@ -717,30 +780,78 @@ BinaryDecode decode_binary_frame(std::string_view buffer) {
 
 namespace {
 
-/// Shared body of kPredict / kExplain requests (everything between the
-/// frame header and the kExplain-only trailing top_k).
-void put_predict_payload(std::string& out, std::uint64_t id,
-                         const core::PlannedTransfer& transfer,
-                         const features::ContentionFeatures& load,
-                         std::uint64_t deadline_ms) {
+/// Packed predict / explain request: the predict payload, plus a
+/// trailing u16 top_k for kExplain.
+std::string packed_request(BinaryType type, std::uint64_t id,
+                           const core::PlannedTransfer& transfer,
+                           const features::ContentionFeatures& load,
+                           std::uint64_t deadline_ms, std::uint16_t top_k) {
+  std::string out;
+  const std::size_t at = open_frame(out, type);
   put_u64(out, id);
-  put_u32(out, static_cast<std::uint32_t>(transfer.src));
-  put_u32(out, static_cast<std::uint32_t>(transfer.dst));
+  put_u32(out, transfer.src);
+  put_u32(out, transfer.dst);
   put_f64(out, transfer.bytes);
   put_u64(out, transfer.files);
   put_u64(out, transfer.dirs);
   put_u32(out, transfer.concurrency);
   put_u32(out, transfer.parallelism);
-  put_u32(out, static_cast<std::uint32_t>(deadline_ms));
-  const double slots[10] = {load.k_sout, load.k_sin,  load.k_dout,
-                            load.k_din,  load.g_src,  load.g_dst,
-                            load.s_sout, load.s_sin,  load.s_dout,
-                            load.s_din};
-  bool any = false;
-  for (const double v : slots) any |= v != 0.0;
-  put_u8(out, any ? kLoadFlag : 0);
-  if (any)
-    for (const double v : slots) put_f64(out, v);
+  put_u32(out, saturate<std::uint32_t>(deadline_ms));
+  const bool loaded = any_load(load);
+  put_u8(out, loaded ? kLoadFlag : 0);
+  if (loaded)
+    for (const auto& field : kLoadFields) put_f64(out, load.*field.member);
+  if (type == BinaryType::kExplain) put_u16(out, top_k);
+  seal_frame(out, at);
+  return out;
+}
+
+Frame parse_binary_predict_impl(std::string_view payload, bool explain) {
+  Frame frame;
+  frame.kind = Frame::Kind::kBad;
+  auto& request = frame.predict;
+  request.binary = true;
+  Cursor cursor(payload);
+  if (!cursor.u64(request.binary_id)) {
+    frame.error = "binary predict payload truncated before id";
+    return frame;
+  }
+  // From here on the id is known; keep it on the bad frame so the error
+  // response stays correlatable, exactly like the JSON parser does.
+  frame.id = std::to_string(request.binary_id);
+
+  auto reject = [&frame](std::string what) {
+    frame.error = std::move(what);
+    return frame;
+  };
+
+  auto& transfer = request.transfer;
+  std::uint32_t deadline_ms = 0;
+  std::uint8_t flags = 0;
+  if (!cursor.u32(transfer.src) || !cursor.u32(transfer.dst) ||
+      !cursor.f64(transfer.bytes) || !cursor.u64(transfer.files) ||
+      !cursor.u64(transfer.dirs) || !cursor.u32(transfer.concurrency) ||
+      !cursor.u32(transfer.parallelism) || !cursor.u32(deadline_ms) ||
+      !cursor.u8(flags))
+    return reject("binary predict payload truncated");
+  request.deadline_ms = deadline_ms;
+  if ((flags & ~kLoadFlag) != 0)
+    return reject("unknown binary predict flags");
+  if ((flags & kLoadFlag) != 0)
+    for (const auto& field : kLoadFields)
+      if (!cursor.f64(request.load.*field.member))
+        return reject("binary predict load block truncated");
+  if (explain) {
+    if (!cursor.u16(request.top_k))
+      return reject("binary explain payload truncated before top_k");
+    request.explain = true;
+  }
+  if (cursor.remaining() != 0)
+    return reject("binary predict payload has trailing bytes");
+  if (std::string why = check_predict(request); !why.empty())
+    return reject(std::move(why));
+  frame.kind = Frame::Kind::kPredict;
+  return frame;
 }
 
 }  // namespace
@@ -749,11 +860,8 @@ std::string binary_predict_request(std::uint64_t id,
                                    const core::PlannedTransfer& transfer,
                                    const features::ContentionFeatures& load,
                                    std::uint64_t deadline_ms) {
-  std::string out;
-  const std::size_t at = open_frame(out, BinaryType::kPredict);
-  put_predict_payload(out, id, transfer, load, deadline_ms);
-  seal_frame(out, at);
-  return out;
+  return packed_request(BinaryType::kPredict, id, transfer, load, deadline_ms,
+                        0);
 }
 
 std::string binary_explain_request(std::uint64_t id,
@@ -761,105 +869,9 @@ std::string binary_explain_request(std::uint64_t id,
                                    const features::ContentionFeatures& load,
                                    std::uint64_t deadline_ms,
                                    std::uint16_t top_k) {
-  std::string out;
-  const std::size_t at = open_frame(out, BinaryType::kExplain);
-  put_predict_payload(out, id, transfer, load, deadline_ms);
-  put_u16(out, top_k);
-  seal_frame(out, at);
-  return out;
+  return packed_request(BinaryType::kExplain, id, transfer, load, deadline_ms,
+                        top_k);
 }
-
-namespace {
-
-Frame parse_binary_predict_impl(std::string_view payload, bool explain) {
-  Frame frame;
-  frame.kind = Frame::Kind::kBad;
-  frame.predict.binary = true;
-  Cursor cursor(payload);
-  std::uint64_t id = 0;
-  if (!cursor.u64(id)) {
-    frame.error = "binary predict payload truncated before id";
-    return frame;
-  }
-  // From here on the id is known; keep it on the bad frame so the error
-  // response stays correlatable, exactly like the JSON parser does.
-  frame.predict.binary_id = id;
-  frame.id = std::to_string(id);
-  frame.predict.id = frame.id;
-
-  auto reject = [&frame](const char* what) {
-    frame.kind = Frame::Kind::kBad;
-    frame.error = what;
-    return frame;
-  };
-
-  auto& transfer = frame.predict.transfer;
-  std::uint32_t src = 0, dst = 0, concurrency = 0, parallelism = 0,
-                deadline_ms = 0;
-  std::uint64_t files = 0, dirs = 0;
-  double bytes = 0.0;
-  std::uint8_t flags = 0;
-  if (!cursor.u32(src) || !cursor.u32(dst) || !cursor.f64(bytes) ||
-      !cursor.u64(files) || !cursor.u64(dirs) || !cursor.u32(concurrency) ||
-      !cursor.u32(parallelism) || !cursor.u32(deadline_ms) ||
-      !cursor.u8(flags))
-    return reject("binary predict payload truncated");
-  if (src > (1u << 30) || dst > (1u << 30))
-    return reject("'src'/'dst' out of range");
-  if (!(bytes >= 0.0) || !std::isfinite(bytes))
-    return reject("'bytes' must be finite and non-negative");
-  if (files < 1 || files > (1ull << 40))
-    return reject("'files' out of range");
-  if (dirs < 1 || dirs > (1ull << 40)) return reject("'dirs' out of range");
-  if (concurrency < 1 || concurrency > (1u << 20))
-    return reject("'concurrency' out of range");
-  if (parallelism < 1 || parallelism > (1u << 20))
-    return reject("'parallelism' out of range");
-  if (deadline_ms > 86400u * 1000u) return reject("'deadline_ms' out of range");
-  if ((flags & ~kLoadFlag) != 0)
-    return reject("unknown binary predict flags");
-  if ((flags & kLoadFlag) != 0) {
-    double slots[10];
-    for (double& slot : slots)
-      if (!cursor.f64(slot))
-        return reject("binary predict load block truncated");
-    for (const double slot : slots)
-      if (!std::isfinite(slot)) return reject("load field must be finite");
-    auto& load = frame.predict.load;
-    load.k_sout = slots[0];
-    load.k_sin = slots[1];
-    load.k_dout = slots[2];
-    load.k_din = slots[3];
-    load.g_src = slots[4];
-    load.g_dst = slots[5];
-    load.s_sout = slots[6];
-    load.s_sin = slots[7];
-    load.s_dout = slots[8];
-    load.s_din = slots[9];
-  }
-  if (explain) {
-    std::uint16_t top_k = 0;
-    if (!cursor.u16(top_k))
-      return reject("binary explain payload truncated before top_k");
-    frame.predict.explain = true;
-    frame.predict.top_k = top_k;
-  }
-  if (cursor.remaining() != 0)
-    return reject("binary predict payload has trailing bytes");
-
-  transfer.src = static_cast<endpoint::EndpointId>(src);
-  transfer.dst = static_cast<endpoint::EndpointId>(dst);
-  transfer.bytes = bytes;
-  transfer.files = files;
-  transfer.dirs = dirs;
-  transfer.concurrency = concurrency;
-  transfer.parallelism = parallelism;
-  frame.predict.deadline_ms = deadline_ms;
-  frame.kind = Frame::Kind::kPredict;
-  return frame;
-}
-
-}  // namespace
 
 Frame parse_binary_predict(std::string_view payload) {
   return parse_binary_predict_impl(payload, /*explain=*/false);
@@ -869,21 +881,50 @@ Frame parse_binary_explain(std::string_view payload) {
   return parse_binary_predict_impl(payload, /*explain=*/true);
 }
 
+std::string packed_reply(std::uint64_t wire_id, const Reply& reply) {
+  const bool ok = reply.error == nullptr;
+  const core::RateExplanation* explained = ok ? reply.explanation : nullptr;
+  std::string out;
+  const std::size_t at = open_frame(out, !ok ? BinaryType::kError
+                                         : explained != nullptr
+                                             ? BinaryType::kExplainOk
+                                             : BinaryType::kPredictOk);
+  put_u64(out, wire_id);
+  if (ok) {
+    put_f64(out, reply.rate_mbps);
+    put_u8(out, reply.edge_model ? kEdgeFlag : 0);
+    put_u64(out, reply.model_version);
+  }
+  put_u64(out, reply.trace_id);
+  put_f64(out, reply.server_ms);
+  if (!ok) {
+    put_text(out, reply.error);
+    put_text(out, reply.message);
+  }
+  if (explained != nullptr) {
+    put_f64(out, explained->raw_mbps);
+    put_f64(out, explained->bias_mbps);
+    put_f64(out, explained->low_mbps);
+    put_f64(out, explained->high_mbps);
+    const auto order =
+        attribution_order(explained->contributions, reply.top_k);
+    put_u16(out, static_cast<std::uint16_t>(order.size()));
+    for (const std::size_t c : order) {
+      put_text(out, explained->feature_names[c]);
+      put_f64(out, explained->contributions[c]);
+    }
+  }
+  seal_frame(out, at);
+  return out;
+}
+
 std::string binary_predict_response(std::uint64_t id, double rate_mbps,
                                     bool edge_model,
                                     std::uint64_t model_version,
                                     std::uint64_t trace_id,
                                     double server_ms) {
-  std::string out;
-  const std::size_t at = open_frame(out, BinaryType::kPredictOk);
-  put_u64(out, id);
-  put_f64(out, rate_mbps);
-  put_u8(out, edge_model ? kEdgeFlag : 0);
-  put_u64(out, model_version);
-  put_u64(out, trace_id);
-  put_f64(out, server_ms);
-  seal_frame(out, at);
-  return out;
+  return packed_reply(id, Reply::predicted(rate_mbps, edge_model,
+                                           model_version, trace_id, server_ms));
 }
 
 std::string binary_explain_response(std::uint64_t id,
@@ -891,50 +932,14 @@ std::string binary_explain_response(std::uint64_t id,
                                     std::uint64_t model_version,
                                     std::uint64_t trace_id, double server_ms,
                                     std::uint16_t top_k) {
-  std::string out;
-  const std::size_t at = open_frame(out, BinaryType::kExplainOk);
-  put_u64(out, id);
-  put_f64(out, explanation.rate_mbps);
-  put_u8(out, explanation.edge_model ? kEdgeFlag : 0);
-  put_u64(out, model_version);
-  put_u64(out, trace_id);
-  put_f64(out, server_ms);
-  put_f64(out, explanation.raw_mbps);
-  put_f64(out, explanation.bias_mbps);
-  put_f64(out, explanation.low_mbps);
-  put_f64(out, explanation.high_mbps);
-  const auto order = attribution_order(explanation.contributions, top_k);
-  put_u16(out, static_cast<std::uint16_t>(order.size()));
-  for (const std::size_t c : order) {
-    const std::string& name = explanation.feature_names[c];
-    const std::size_t name_len = std::min<std::size_t>(name.size(), 0xffff);
-    put_u16(out, static_cast<std::uint16_t>(name_len));
-    out.append(name.data(), name_len);
-    put_f64(out, explanation.contributions[c]);
-  }
-  seal_frame(out, at);
-  return out;
+  return packed_reply(id, Reply::explained(explanation, model_version,
+                                           trace_id, server_ms, top_k));
 }
 
 std::string binary_error_response(std::uint64_t id, const char* code,
                                   const std::string& message,
                                   std::uint64_t trace_id, double server_ms) {
-  std::string out;
-  const std::size_t at = open_frame(out, BinaryType::kError);
-  put_u64(out, id);
-  put_u64(out, trace_id);
-  put_f64(out, server_ms);
-  const std::string_view code_view{code};
-  // Length caps keep the frame bounded whatever the message source; a
-  // truncated message beats an unparseable frame.
-  const std::size_t code_len = std::min<std::size_t>(code_view.size(), 0xffff);
-  const std::size_t msg_len = std::min<std::size_t>(message.size(), 0xffff);
-  put_u16(out, static_cast<std::uint16_t>(code_len));
-  out.append(code_view.data(), code_len);
-  put_u16(out, static_cast<std::uint16_t>(msg_len));
-  out.append(message.data(), msg_len);
-  seal_frame(out, at);
-  return out;
+  return packed_reply(id, Reply::failed(code, message, trace_id, server_ms));
 }
 
 std::string binary_json_frame(std::string_view json_document) {
@@ -950,57 +955,34 @@ std::string binary_json_frame(std::string_view json_document) {
 
 BinaryPredictReply parse_binary_reply(BinaryType type,
                                       std::string_view payload) {
+  if (type != BinaryType::kPredictOk && type != BinaryType::kExplainOk &&
+      type != BinaryType::kError)
+    throw std::runtime_error("not a binary reply frame");
   BinaryPredictReply reply;
+  reply.ok = type != BinaryType::kError;
   Cursor cursor(payload);
-  if (type == BinaryType::kPredictOk) {
-    std::uint8_t flags = 0;
-    if (!cursor.u64(reply.id) || !cursor.f64(reply.rate_mbps) ||
-        !cursor.u8(flags) || !cursor.u64(reply.model_version) ||
-        !cursor.u64(reply.trace_id) || !cursor.f64(reply.server_ms) ||
-        cursor.remaining() != 0)
-      throw std::runtime_error("malformed binary predict response");
-    reply.ok = true;
-    reply.edge_model = (flags & kEdgeFlag) != 0;
-    return reply;
-  }
-  if (type == BinaryType::kExplainOk) {
-    std::uint8_t flags = 0;
+  std::uint8_t flags = 0;
+  bool good = cursor.u64(reply.id);
+  if (reply.ok)
+    good = good && cursor.f64(reply.rate_mbps) && cursor.u8(flags) &&
+           cursor.u64(reply.model_version);
+  good = good && cursor.u64(reply.trace_id) && cursor.f64(reply.server_ms);
+  if (!reply.ok)
+    good = good && cursor.text(reply.error) && cursor.text(reply.message);
+  reply.edge_model = (flags & kEdgeFlag) != 0;
+  if (good && type == BinaryType::kExplainOk) {
     std::uint16_t entries = 0;
-    if (!cursor.u64(reply.id) || !cursor.f64(reply.rate_mbps) ||
-        !cursor.u8(flags) || !cursor.u64(reply.model_version) ||
-        !cursor.u64(reply.trace_id) || !cursor.f64(reply.server_ms) ||
-        !cursor.f64(reply.raw_mbps) || !cursor.f64(reply.bias_mbps) ||
-        !cursor.f64(reply.low_mbps) || !cursor.f64(reply.high_mbps) ||
-        !cursor.u16(entries))
-      throw std::runtime_error("malformed binary explain response");
-    reply.contributions.reserve(entries);
-    for (std::uint16_t e = 0; e < entries; ++e) {
-      std::uint16_t name_len = 0;
-      std::string name;
-      double mbps = 0.0;
-      if (!cursor.u16(name_len) || !cursor.bytes(name, name_len) ||
-          !cursor.f64(mbps))
-        throw std::runtime_error("malformed binary explain response");
-      reply.contributions.emplace_back(std::move(name), mbps);
+    good = cursor.f64(reply.raw_mbps) && cursor.f64(reply.bias_mbps) &&
+           cursor.f64(reply.low_mbps) && cursor.f64(reply.high_mbps) &&
+           cursor.u16(entries);
+    for (std::uint16_t e = 0; good && e < entries; ++e) {
+      auto& [name, mbps] = reply.contributions.emplace_back();
+      good = cursor.text(name) && cursor.f64(mbps);
     }
-    if (cursor.remaining() != 0)
-      throw std::runtime_error("malformed binary explain response");
-    reply.ok = true;
-    reply.explained = true;
-    reply.edge_model = (flags & kEdgeFlag) != 0;
-    return reply;
   }
-  if (type == BinaryType::kError) {
-    std::uint16_t code_len = 0, msg_len = 0;
-    if (!cursor.u64(reply.id) || !cursor.u64(reply.trace_id) ||
-        !cursor.f64(reply.server_ms) || !cursor.u16(code_len) ||
-        !cursor.bytes(reply.error, code_len) || !cursor.u16(msg_len) ||
-        !cursor.bytes(reply.message, msg_len) || cursor.remaining() != 0)
-      throw std::runtime_error("malformed binary error response");
-    reply.ok = false;
-    return reply;
-  }
-  throw std::runtime_error("not a binary reply frame");
+  if (!good || cursor.remaining() != 0)
+    throw std::runtime_error("malformed binary reply frame");
+  return reply;
 }
 
 }  // namespace xfl::serve

@@ -21,6 +21,14 @@
 // reads past the buffer, returns kNeedMore on any truncation (every byte
 // offset), and rejects oversized or unknown frames as kBad.
 //
+// One reply, two encoders: every predict, explain and error answer is
+// one Reply value, written by json_reply or packed_reply (each writes the
+// shared head once and appends the explain block when present). Both
+// request codecs fill the same PredictRequest and share one range
+// validator and one load-field table, so the framings accept and reject
+// exactly the same requests. The named *_response builders are thin
+// callers of the two encoders.
+//
 // Request frames:
 //   predict:  {"id":ID, "src":N, "dst":N, "bytes":X, ["files":N],
 //              ["dirs":N], ["concurrency":N], ["parallelism":N],
@@ -82,7 +90,6 @@ inline constexpr const char* kErrFrameTimeout = "frame_timeout";
 inline constexpr std::string_view kBinaryMagic{"XFLBIN1\n", 8};
 
 struct PredictRequest {
-  std::string id;
   core::PlannedTransfer transfer;
   features::ContentionFeatures load;
   std::uint64_t deadline_ms = 0;  ///< 0 = no deadline.
@@ -194,29 +201,60 @@ struct StatsReport {
   std::string registry_json;
 };
 
-// Response builders (server side). Each returns one newline-terminated
-// frame. rate_mbps uses %.17g so the client's strtod reproduces the
-// server's double bit-identically. server_ms is in-server latency from
-// frame receipt to response serialisation (fractional milliseconds).
+/// One predict, explain or error answer. The server builds it once (from
+/// a batch outcome, a bad frame or an admission rejection) and hands it to
+/// whichever encoder the request's framing needs. A view: it borrows the
+/// message and the explanation.
+struct Reply {
+  const char* error = nullptr;  ///< kErr* code; nullptr = success.
+  std::string_view message;     ///< Errors only: human-readable reason.
+  double rate_mbps = 0.0;
+  bool edge_model = false;
+  std::uint64_t model_version = 0;
+  /// Server trace id and in-server latency. Trace id 0 is never
+  /// assigned: an error carrying it (a frame that never reached the
+  /// batcher) omits both fields in JSON.
+  std::uint64_t trace_id = 0;
+  double server_ms = 0.0;
+  /// Explain success: the attribution block, keeping the top_k strongest
+  /// contributions (0 = all).
+  const core::RateExplanation* explanation = nullptr;
+  std::uint16_t top_k = 0;
+
+  static Reply predicted(double rate_mbps, bool edge_model,
+                         std::uint64_t model_version, std::uint64_t trace_id,
+                         double server_ms);
+  /// Rate and model come from the explanation, which must outlive the
+  /// reply.
+  static Reply explained(const core::RateExplanation& explanation,
+                         std::uint64_t model_version, std::uint64_t trace_id,
+                         double server_ms, std::uint16_t top_k);
+  static Reply failed(const char* code, std::string_view message,
+                      std::uint64_t trace_id = 0, double server_ms = 0.0);
+};
+
+/// The JSON encoder: one newline-terminated line. Doubles use %.17g so
+/// the client's strtod reproduces the server's double bit-identically.
+/// Explain replies add raw/bias/interval and the contributions, each
+/// {"feature","mbps"}, ordered by |mbps| descending (ties by feature
+/// index). With top_k == 0 the entries summed in ascending feature order
+/// plus bias_mbps (added last) rebuild raw_mbps bit-exactly.
+std::string json_reply(const std::string& id, const Reply& reply);
+
+// Named JSON builders, thin callers of json_reply. server_ms is in-server
+// latency from frame receipt to response serialisation (fractional ms).
 std::string predict_response(const std::string& id, double rate_mbps,
                              bool edge_model, std::uint64_t model_version,
                              std::uint64_t trace_id, double server_ms);
-/// Explain success: the predict response plus raw/bias/interval and the
-/// top_k strongest contributions (0 = all), each {"feature","mbps"},
-/// ordered by |mbps| descending (ties by feature index). With top_k == 0
-/// the entries summed in ascending feature order plus bias_mbps (added
-/// last) rebuild raw_mbps bit-exactly after a %.17g round trip.
 std::string explain_response(const std::string& id,
                              const core::RateExplanation& explanation,
                              std::uint64_t model_version,
                              std::uint64_t trace_id, double server_ms,
                              std::uint16_t top_k);
-std::string error_response(const std::string& id, const char* code,
-                           const std::string& message);
-/// Predict-path error: carries the trace id + server time like a success.
+/// trace_id 0 = a frame that never reached the batcher (see Reply).
 std::string error_response(const std::string& id, const char* code,
                            const std::string& message,
-                           std::uint64_t trace_id, double server_ms);
+                           std::uint64_t trace_id = 0, double server_ms = 0.0);
 std::string feedback_response(const std::string& id,
                               const std::string& trace_id,
                               const ServeMonitor::FeedbackResult& result);
@@ -262,7 +300,8 @@ struct BinaryDecode {
 /// (framing cannot resync after either, so the caller should close).
 BinaryDecode decode_binary_frame(std::string_view buffer);
 
-/// Serialise one packed predict request (client side).
+/// Serialise one packed predict request (client side). The u32 wire
+/// deadline saturates, so an over-long deadline is still rejected.
 std::string binary_predict_request(std::uint64_t id,
                                    const core::PlannedTransfer& transfer,
                                    const features::ContentionFeatures& load = {},
@@ -276,17 +315,22 @@ std::string binary_explain_request(std::uint64_t id,
                                    std::uint64_t deadline_ms = 0,
                                    std::uint16_t top_k = 0);
 
-/// Decode a kPredict payload with the same strictness as the JSON path
-/// (range/finite checks). Malformed payloads yield kind kBad with the
-/// wire id preserved (when readable) so the error stays correlatable;
-/// never throws.
+/// Decode a kPredict payload through the range checks the JSON path
+/// uses. Malformed payloads yield kind kBad with the wire id preserved
+/// (when readable) so the error stays correlatable; never throws.
 Frame parse_binary_predict(std::string_view payload);
 
 /// Decode a kExplain payload (parse_binary_predict plus the trailing
 /// top_k); the frame comes back with predict.explain set.
 Frame parse_binary_explain(std::string_view payload);
 
-/// Serialise packed predict responses (server side).
+/// The packed encoder: one kPredictOk / kExplainOk / kError frame with
+/// the same fields as json_reply, doubles as raw IEEE-754 bits. The
+/// explain block is raw/bias/interval plus the top_k strongest
+/// (u16 name_len, name, f64 mbps) entries.
+std::string packed_reply(std::uint64_t wire_id, const Reply& reply);
+
+// Named packed builders, thin callers of packed_reply.
 std::string binary_predict_response(std::uint64_t id, double rate_mbps,
                                     bool edge_model,
                                     std::uint64_t model_version,
@@ -295,10 +339,6 @@ std::string binary_error_response(std::uint64_t id, const char* code,
                                   const std::string& message,
                                   std::uint64_t trace_id = 0,
                                   double server_ms = 0.0);
-/// Packed explain success: the kPredictOk fields plus raw/bias/interval
-/// and the top_k strongest (u16 name_len, name, f64 mbps) contribution
-/// entries — doubles as raw IEEE-754 bits, so with top_k == 0 the
-/// decoded entries rebuild raw_mbps bit-exactly (see explain_response).
 std::string binary_explain_response(std::uint64_t id,
                                     const core::RateExplanation& explanation,
                                     std::uint64_t model_version,
@@ -320,8 +360,7 @@ struct BinaryPredictReply {
   double server_ms = 0.0;
   std::string error;    ///< Error code when !ok.
   std::string message;
-  // kExplainOk only: attribution block (see binary_explain_response).
-  bool explained = false;
+  // kExplainOk only: the attribution block (see packed_reply).
   double raw_mbps = 0.0;
   double bias_mbps = 0.0;
   double low_mbps = 0.0;

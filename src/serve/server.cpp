@@ -81,6 +81,18 @@ constexpr const char* kCompiler = "unknown";
 #define XFL_BUILD_FLAGS ""
 #endif
 
+/// The one Reply a batch outcome becomes.
+Reply outcome_reply(const PredictOutcome& outcome, std::uint64_t trace_id,
+                    double server_ms, std::uint16_t top_k) {
+  if (!outcome.ok)
+    return Reply::failed(outcome.error, outcome.message, trace_id, server_ms);
+  if (outcome.explained)
+    return Reply::explained(outcome.explanation, outcome.model_version,
+                            trace_id, server_ms, top_k);
+  return Reply::predicted(outcome.rate_mbps, outcome.edge_model,
+                          outcome.model_version, trace_id, server_ms);
+}
+
 /// Resolve Options::shards == 0 (auto) before the batcher is built.
 PredictionServer::Options normalize(PredictionServer::Options options) {
   if (options.shards == 0) {
@@ -141,18 +153,22 @@ struct PredictionServer::Cork {
   std::vector<std::shared_ptr<Connection>> pending;
 };
 
+/// Where one reply goes, frozen when its request is decoded so a worker
+/// or admin thread never reads mutable poll-thread state.
+struct PredictionServer::Route {
+  std::string id;             ///< JSON reply id.
+  std::uint64_t wire_id = 0;  ///< Packed reply id.
+  bool packed = false;        ///< Request arrived packed; answer packed.
+  bool wrap = false;          ///< Connection had negotiated binary framing.
+};
+
 /// A decoded predict frame parked by handle_frame until the readiness
-/// round's flush_predict_burst. Carries everything the rejection path
-/// needs to answer without the Frame (which dies with the input buffer).
-/// The item already holds one in_flight reference.
+/// round's flush_predict_burst. The item and its route carry everything
+/// the rejection path needs to answer without the Frame (which dies with
+/// the input buffer). The item already holds one in_flight reference.
 struct PredictionServer::PendingPredict {
   BatchItem item;
-  bool packed = false;  ///< Arrived as a binary kPredict frame.
-  bool wrap = false;    ///< Connection had negotiated binary framing.
-  std::uint64_t wire_id = 0;
-  std::string id;
-  std::uint64_t trace_id = 0;
-  std::uint64_t received_us = 0;
+  Route route;
 };
 
 PredictionServer::Cork& PredictionServer::cork_state() {
@@ -556,26 +572,22 @@ void PredictionServer::handle_frame(const std::shared_ptr<Connection>& conn,
     // drain ordering tests rely on admission happening first.
     flush_predict_burst(conn, burst);
   }
+  Route route{frame.id, frame.predict.binary_id, frame.predict.binary,
+              conn->binary};
   switch (frame.kind) {
     case Frame::Kind::kBad:
       metrics.bad.add(1);
-      if (frame.predict.binary)
-        queue_output(conn,
-                     binary_error_response(frame.predict.binary_id,
-                                           kErrBadRequest, frame.error));
-      else
-        send_response(conn,
-                      error_response(frame.id, kErrBadRequest, frame.error));
+      send_reply(conn, route, Reply::failed(kErrBadRequest, frame.error));
       return;
 
     case Frame::Kind::kAdmin:
       metrics.admin.add(1);
-      handle_admin(conn, frame.admin);
+      handle_admin(conn, route, frame.admin);
       return;
 
     case Frame::Kind::kFeedback:
       metrics.feedback.add(1);
-      handle_feedback(conn, frame.feedback);
+      handle_feedback(conn, route, frame.feedback);
       return;
 
     case Frame::Kind::kPredict:
@@ -593,58 +605,24 @@ void PredictionServer::handle_frame(const std::shared_ptr<Connection>& conn,
   item.received_us = received_us;
   if (frame.predict.deadline_ms > 0)
     item.deadline_us = obs::monotonic_us() + frame.predict.deadline_ms * 1000;
-  // Response routing is captured now: `packed` mirrors how the request
-  // arrived, `wrap` the connection's framing at admission — both frozen
-  // so a worker-thread callback never reads mutable poll-thread state.
-  const bool packed = frame.predict.binary;
-  const bool wrap = conn->binary;
-  const std::uint64_t wire_id = frame.predict.binary_id;
-  const std::string id = frame.predict.id;
-  const std::uint16_t top_k = frame.predict.top_k;
   conn->in_flight.fetch_add(1, std::memory_order_relaxed);
   // `this` outlives every callback: stop() drains the batcher before the
   // server (and its monitor) is torn down.
-  item.done = [this, conn, id, wire_id, packed, wrap, trace_id, received_us,
-               top_k, transfer = frame.predict.transfer,
+  item.done = [this, conn, route, trace_id, received_us,
+               top_k = frame.predict.top_k, transfer = frame.predict.transfer,
                load = frame.predict.load](const PredictOutcome& outcome) {
     auto& m = server_metrics();
     const std::uint64_t server_us = obs::monotonic_us() - received_us;
     m.server_time.record(static_cast<double>(server_us));
     const double server_ms = static_cast<double>(server_us) / 1000.0;
-    std::string response;
     if (outcome.ok) {
       m.ok.add(1);
       monitor_.record_prediction(trace_id, outcome.rate_mbps,
                                  outcome.model_version, transfer, load);
-      if (outcome.explained)
-        response = packed
-                       ? binary_explain_response(wire_id, outcome.explanation,
-                                                 outcome.model_version,
-                                                 trace_id, server_ms, top_k)
-                       : explain_response(id, outcome.explanation,
-                                          outcome.model_version, trace_id,
-                                          server_ms, top_k);
-      else
-        response = packed
-                       ? binary_predict_response(wire_id, outcome.rate_mbps,
-                                                 outcome.edge_model,
-                                                 outcome.model_version,
-                                                 trace_id, server_ms)
-                       : predict_response(id, outcome.rate_mbps,
-                                          outcome.edge_model,
-                                          outcome.model_version, trace_id,
-                                          server_ms);
     } else {
       m.errors.add(1);
-      response = packed
-                     ? binary_error_response(wire_id, outcome.error,
-                                             outcome.message, trace_id,
-                                             server_ms)
-                     : error_response(id, outcome.error, outcome.message,
-                                      trace_id, server_ms);
     }
-    if (!packed && wrap) response = binary_json_frame(response);
-    queue_output(conn, response);
+    send_reply(conn, route, outcome_reply(outcome, trace_id, server_ms, top_k));
     conn->in_flight.fetch_sub(1, std::memory_order_relaxed);
     if (conn->read_closed.load(std::memory_order_relaxed))
       request_attention(conn);
@@ -652,15 +630,7 @@ void PredictionServer::handle_frame(const std::shared_ptr<Connection>& conn,
 
   // Parked, not submitted: process_input admits the whole readiness
   // round with one submit_burst (see flush_predict_burst for rejection).
-  PendingPredict pending;
-  pending.item = std::move(item);
-  pending.packed = packed;
-  pending.wrap = wrap;
-  pending.wire_id = wire_id;
-  pending.id = id;
-  pending.trace_id = trace_id;
-  pending.received_us = received_us;
-  burst.push_back(std::move(pending));
+  burst.push_back({std::move(item), std::move(route)});
 }
 
 void PredictionServer::flush_predict_burst(
@@ -678,7 +648,6 @@ void PredictionServer::flush_predict_burst(
   // (and the same counters — rejects are overloaded/shutting_down, never
   // serve.response.error) as a lone submit() rejection would get.
   for (std::size_t i = admitted; i < burst.size(); ++i) {
-    const PendingPredict& pending = burst[i];
     const char* code = kErrOverloaded;
     const char* message = "prediction queue full";
     if (status == MicroBatcher::Admission::kShuttingDown) {
@@ -688,24 +657,19 @@ void PredictionServer::flush_predict_burst(
     } else {
       metrics.overloaded.add(1);
     }
+    // submit_burst moved only the admitted prefix out of `items`.
     const double rejected_ms =
-        static_cast<double>(obs::monotonic_us() - pending.received_us) /
+        static_cast<double>(obs::monotonic_us() - items[i].received_us) /
         1000.0;
-    std::string response =
-        pending.packed
-            ? binary_error_response(pending.wire_id, code, message,
-                                    pending.trace_id, rejected_ms)
-            : error_response(pending.id, code, message, pending.trace_id,
-                             rejected_ms);
-    if (!pending.packed && pending.wrap) response = binary_json_frame(response);
-    queue_output(conn, response);
+    send_reply(conn, burst[i].route,
+               Reply::failed(code, message, items[i].trace_id, rejected_ms));
     conn->in_flight.fetch_sub(1, std::memory_order_relaxed);
   }
   burst.clear();
 }
 
 void PredictionServer::handle_feedback(
-    const std::shared_ptr<Connection>& conn,
+    const std::shared_ptr<Connection>& conn, const Route& route,
     const FeedbackRequest& feedback) {
   // Explained BEFORE the join consumes the journal entry: feedback
   // arrives orders of magnitude below predict rate, so one single-row
@@ -734,15 +698,16 @@ void PredictionServer::handle_feedback(
       monitor_.record_feedback(feedback.trace_id, feedback.observed_mbps);
   if (result.matched && feedback_hook_)
     feedback_hook_(result, feedback.trace_id, feedback.observed_mbps);
-  send_response(conn, feedback_response(
-                          feedback.id, trace_id_string(feedback.trace_id),
-                          result));
+  send_reply(conn, route, {},
+             feedback_response(feedback.id,
+                               trace_id_string(feedback.trace_id), result));
 }
 
 void PredictionServer::handle_admin(const std::shared_ptr<Connection>& conn,
+                                    const Route& route,
                                     const AdminRequest& admin) {
   if (admin.cmd == "ping") {
-    send_response(conn, pong_response(admin.id, host_.version()));
+    send_reply(conn, route, {}, pong_response(admin.id, host_.version()));
     return;
   }
   if (admin.cmd == "stats") {
@@ -782,43 +747,45 @@ void PredictionServer::handle_admin(const std::shared_ptr<Connection>& conn,
     report.attribution_shift = monitor_.last_shift();
     if (admin.registry)
       report.registry_json = obs::Registry::instance().to_json();
-    send_response(conn, stats_response(admin.id, report));
+    send_reply(conn, route, {}, stats_response(admin.id, report));
     return;
   }
   if (admin.cmd == "retrain-status") {
     // The provider is one status-struct snapshot under a worker mutex —
     // cheap enough to answer inline like stats.
-    send_response(conn, retrain_status_response(
-                            admin.id,
-                            retrain_status_ ? retrain_status_()
-                                            : std::string()));
+    send_reply(conn, route, {},
+               retrain_status_response(admin.id, retrain_status_
+                                                     ? retrain_status_()
+                                                     : std::string()));
     return;
   }
   // reload: runs on a short-lived thread of its own — a multi-second
   // model parse must not stall the event loop every connection shares.
   conn->in_flight.fetch_add(1, std::memory_order_relaxed);
-  const bool wrap = conn->binary;
   std::lock_guard lock(admin_mutex_);
-  admin_threads_.emplace_back([this, conn, admin, wrap] {
-    std::string response;
+  admin_threads_.emplace_back([this, conn, admin, route] {
     try {
-      const std::uint64_t version = host_.reload_from_file(admin.path);
-      response = reload_response(admin.id, version);
+      send_reply(conn, route, {},
+                 reload_response(admin.id, host_.reload_from_file(admin.path)));
     } catch (const std::exception& error) {
-      response = error_response(admin.id, kErrReloadFailed, error.what());
+      send_reply(conn, route, Reply::failed(kErrReloadFailed, error.what()));
     }
-    if (wrap) response = binary_json_frame(response);
-    queue_output(conn, response);
     conn->in_flight.fetch_sub(1, std::memory_order_relaxed);
     if (conn->read_closed.load(std::memory_order_relaxed))
       request_attention(conn);
   });
 }
 
-void PredictionServer::send_response(const std::shared_ptr<Connection>& conn,
-                                     std::string json_line) {
-  if (conn->binary) json_line = binary_json_frame(json_line);
-  queue_output(conn, json_line);
+void PredictionServer::send_reply(const std::shared_ptr<Connection>& conn,
+                                  const Route& route, const Reply& reply,
+                                  std::string json) {
+  if (route.packed) {
+    queue_output(conn, packed_reply(route.wire_id, reply));
+    return;
+  }
+  if (json.empty()) json = json_reply(route.id, reply);
+  if (route.wrap) json = binary_json_frame(json);
+  queue_output(conn, json);
 }
 
 void PredictionServer::cork_begin() { cork_state().active = true; }
@@ -953,9 +920,10 @@ void PredictionServer::fail_connection(
     const std::shared_ptr<Connection>& conn, const char* code,
     const std::string& message) {
   if (conn->dead) return;
-  queue_output(conn, conn->binary
-                         ? binary_error_response(0, code, message)
-                         : error_response("", code, message));
+  // No request to answer: a binary connection gets a packed error with
+  // wire id 0, a JSON one an error line with an empty id.
+  send_reply(conn, Route{"", 0, conn->binary, conn->binary},
+             Reply::failed(code, message));
   conn->read_closed.store(true, std::memory_order_relaxed);
   conn->in.clear();
   conn->partial_since_us = 0;

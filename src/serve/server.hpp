@@ -110,6 +110,7 @@ class PredictionServer {
  private:
   struct Connection;
   struct Cork;
+  struct Route;
 
   /// Worker-thread write corking (MicroBatcher::Options::batch_hook):
   /// between cork_begin() and cork_end(), queue_output on that thread
@@ -135,13 +136,16 @@ class PredictionServer {
   void flush_predict_burst(const std::shared_ptr<Connection>& conn,
                            std::vector<PendingPredict>& burst);
   void handle_admin(const std::shared_ptr<Connection>& conn,
-                    const AdminRequest& admin);
+                    const Route& route, const AdminRequest& admin);
   void handle_feedback(const std::shared_ptr<Connection>& conn,
-                       const FeedbackRequest& feedback);
-  /// Route one JSON response line over the connection's negotiated
-  /// framing (wrapped in a kJson binary frame after negotiation).
-  void send_response(const std::shared_ptr<Connection>& conn,
-                     std::string json_line);
+                       const Route& route, const FeedbackRequest& feedback);
+  /// The one place a reply meets its framing: a request that arrived
+  /// packed is answered with a packed frame; every other reply is a JSON
+  /// line — `reply` encoded, or `json` when an admin/feedback handler
+  /// built the document — wrapped in a kJson frame once the connection
+  /// has negotiated binary. Any thread.
+  void send_reply(const std::shared_ptr<Connection>& conn, const Route& route,
+                  const Reply& reply, std::string json = {});
   /// Append bytes to the connection's write buffer, flush what the
   /// socket will take, and arrange EPOLLOUT for the rest. Any thread.
   void queue_output(const std::shared_ptr<Connection>& conn,

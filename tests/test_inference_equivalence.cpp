@@ -77,7 +77,7 @@ void expect_all_paths_identical(const GradientBoostedTrees& model,
   model.predict_batch(x, batch_hw, &hardware);
   EXPECT_EQ(batch_hw, reference);
 
-  // The convenience Matrix overload (spawns its own pool for large inputs).
+  // The convenience Matrix overload (a serial predict_batch).
   EXPECT_EQ(model.predict(x), reference);
 
   // Both forced kernels, serial and pooled. Fitted models always compile

@@ -15,6 +15,8 @@
 
 #include <cmath>
 #include <cstring>
+#include <iterator>
+#include <limits>
 #include <memory>
 #include <random>
 #include <string>
@@ -46,15 +48,20 @@ core::PlannedTransfer random_transfer(std::mt19937& rng) {
   return planned;
 }
 
+/// Every contention load field, so a codec that drops or swaps one is
+/// caught by the round trips below.
+constexpr double features::ContentionFeatures::*kLoadMembers[] = {
+    &features::ContentionFeatures::k_sout, &features::ContentionFeatures::k_sin,
+    &features::ContentionFeatures::k_dout, &features::ContentionFeatures::k_din,
+    &features::ContentionFeatures::g_src,  &features::ContentionFeatures::g_dst,
+    &features::ContentionFeatures::s_sout, &features::ContentionFeatures::s_sin,
+    &features::ContentionFeatures::s_dout, &features::ContentionFeatures::s_din,
+};
+
 features::ContentionFeatures random_load(std::mt19937& rng) {
   features::ContentionFeatures load;
   std::uniform_real_distribution<double> value(0.0, 5000.0);
-  load.k_sout = value(rng);
-  load.k_din = value(rng);
-  load.g_src = value(rng);
-  load.g_dst = value(rng);
-  load.s_sout = value(rng);
-  load.s_din = value(rng);
+  for (const auto member : kLoadMembers) load.*member = value(rng);
   return load;
 }
 
@@ -90,13 +97,116 @@ TEST(ServeBinaryCodec, PredictRequestRoundTripsRandomized) {
     EXPECT_EQ(frame.predict.transfer.concurrency, planned.concurrency);
     EXPECT_EQ(frame.predict.transfer.parallelism, planned.parallelism);
     EXPECT_EQ(frame.predict.deadline_ms, deadline_ms);
-    EXPECT_EQ(frame.predict.load.k_sout, load.k_sout);
-    EXPECT_EQ(frame.predict.load.k_din, load.k_din);
-    EXPECT_EQ(frame.predict.load.g_src, load.g_src);
-    EXPECT_EQ(frame.predict.load.g_dst, load.g_dst);
-    EXPECT_EQ(frame.predict.load.s_sout, load.s_sout);
-    EXPECT_EQ(frame.predict.load.s_din, load.s_din);
+    for (std::size_t f = 0; f < std::size(kLoadMembers); ++f)
+      EXPECT_EQ(frame.predict.load.*kLoadMembers[f], load.*kLoadMembers[f])
+          << "load field " << f;
   }
+}
+
+// ----------------------------------------------------- shared validation
+
+TEST(ServeBinaryCodec, BothFramingsValidateAlike) {
+  // parse_frame and parse_binary_predict share one range validator, so
+  // every boundary must land on the same side in both framings.
+  struct Case {
+    std::string name;
+    bool valid = true;
+    core::PlannedTransfer transfer;
+    features::ContentionFeatures load;
+    std::uint64_t deadline_ms = 0;
+  };
+  std::vector<Case> cases;
+  const auto add = [&cases](std::string name, bool valid, auto edit) {
+    Case c;
+    c.name = std::move(name);
+    c.valid = valid;
+    c.transfer.bytes = 1e9;
+    edit(c);
+    cases.push_back(c);
+  };
+  const std::uint64_t endpoints = 1u << 30, files = 1ull << 40,
+                      streams = 1u << 20;
+  for (const std::uint64_t v : {endpoints, endpoints + 1}) {
+    const auto id = static_cast<endpoint::EndpointId>(v);
+    add("src " + std::to_string(v), v == endpoints,
+        [id](Case& c) { c.transfer.src = id; });
+    add("dst " + std::to_string(v), v == endpoints,
+        [id](Case& c) { c.transfer.dst = id; });
+  }
+  const std::uint64_t file_counts[] = {0, 1, files, files + 1};
+  for (const std::uint64_t v : file_counts) {
+    const bool valid = v >= 1 && v <= files;
+    add("files " + std::to_string(v), valid,
+        [v](Case& c) { c.transfer.files = v; });
+    add("dirs " + std::to_string(v), valid,
+        [v](Case& c) { c.transfer.dirs = v; });
+  }
+  const std::uint64_t stream_counts[] = {0, 1, streams, streams + 1};
+  for (const std::uint64_t v : stream_counts) {
+    const bool valid = v >= 1 && v <= streams;
+    const auto n = static_cast<std::uint32_t>(v);
+    add("concurrency " + std::to_string(v), valid,
+        [n](Case& c) { c.transfer.concurrency = n; });
+    add("parallelism " + std::to_string(v), valid,
+        [n](Case& c) { c.transfer.parallelism = n; });
+  }
+  for (const std::uint64_t v : {86400000u, 86400001u})
+    add("deadline " + std::to_string(v), v == 86400000u,
+        [v](Case& c) { c.deadline_ms = v; });
+  add("bytes -1", false, [](Case& c) { c.transfer.bytes = -1.0; });
+  add("bytes nan", false, [](Case& c) { c.transfer.bytes = std::nan(""); });
+  const double inf = std::numeric_limits<double>::infinity();
+  for (std::size_t f = 0; f < std::size(kLoadMembers); ++f)
+    for (const double v : {inf, -inf})
+      add("load field " + std::to_string(f) + " = " + std::to_string(v), false,
+          [f, v](Case& c) { c.load.*kLoadMembers[f] = v; });
+
+  for (const Case& c : cases) {
+    const Frame json = parse_frame(
+        predict_request_line("1", c.transfer, c.load, c.deadline_ms));
+    const std::string wire =
+        binary_predict_request(1, c.transfer, c.load, c.deadline_ms);
+    const BinaryDecode decoded = decode_binary_frame(wire);
+    ASSERT_EQ(decoded.status, BinaryDecode::Status::kFrame) << c.name;
+    const Frame packed = parse_binary_predict(decoded.payload);
+    EXPECT_EQ(json.kind == Frame::Kind::kPredict, c.valid)
+        << c.name << ": " << json.error;
+    EXPECT_EQ(packed.kind == Frame::Kind::kPredict, c.valid)
+        << c.name << ": " << packed.error;
+    // A finite value reaches the shared validator in both framings, so
+    // the reason matches too. JSON carries a non-finite value as null,
+    // which its parser rejects first as a type error.
+    bool finite = std::isfinite(c.transfer.bytes);
+    for (const auto member : kLoadMembers)
+      finite = finite && std::isfinite(c.load.*member);
+    if (finite) {
+      EXPECT_EQ(json.error, packed.error) << c.name;
+    }
+  }
+}
+
+TEST(ServeBinaryCodec, OverlongDeadlineIsRejectedInBothFramings) {
+  // 2^32 + 5 ms: a u32 wire field that wrapped would carry 5 ms, which
+  // the server would accept. Saturation keeps it out of range.
+  const std::uint64_t deadline_ms = (1ull << 32) + 5;
+  core::PlannedTransfer planned;
+  planned.bytes = 1e9;
+  EXPECT_EQ(parse_frame(predict_request_line("1", planned, {}, deadline_ms))
+                .kind,
+            Frame::Kind::kBad);
+  EXPECT_EQ(parse_frame(explain_request_line("1", planned, {}, deadline_ms))
+                .kind,
+            Frame::Kind::kBad);
+  const std::string predict_wire =
+      binary_predict_request(1, planned, {}, deadline_ms);
+  const BinaryDecode predict = decode_binary_frame(predict_wire);
+  ASSERT_EQ(predict.status, BinaryDecode::Status::kFrame);
+  EXPECT_EQ(parse_binary_predict(predict.payload).kind, Frame::Kind::kBad);
+  const std::string explain_wire =
+      binary_explain_request(1, planned, {}, deadline_ms);
+  const BinaryDecode explain = decode_binary_frame(explain_wire);
+  ASSERT_EQ(explain.status, BinaryDecode::Status::kFrame);
+  EXPECT_EQ(parse_binary_explain(explain.payload).kind, Frame::Kind::kBad);
 }
 
 TEST(ServeBinaryCodec, ReplyFramesRoundTripRandomized) {
@@ -189,15 +299,24 @@ TEST(ServeBinaryCodec, TruncationAtEveryByteOffsetNeedsMore) {
 TEST(ServeBinaryCodec, TruncatedPayloadsThrowInsteadOfMisreading) {
   // parse_binary_reply on a cut-down payload must throw (structured
   // channel gone), never read past the end or fabricate fields.
-  const std::string wire =
-      binary_predict_response(12, 100.0, false, 2, 44, 1.0);
-  const BinaryDecode decoded = decode_binary_frame(wire);
-  ASSERT_EQ(decoded.status, BinaryDecode::Status::kFrame);
-  for (std::size_t cut = 0; cut < decoded.payload.size(); ++cut)
-    EXPECT_THROW(parse_binary_reply(BinaryType::kPredictOk,
-                                    decoded.payload.substr(0, cut)),
-                 std::exception)
-        << "payload cut at " << cut;
+  core::RateExplanation explanation;
+  explanation.rate_mbps = 100.0;
+  explanation.feature_names = {"Nb", "C"};
+  explanation.contributions = {3.5, -1.25};
+  for (const std::string& wire :
+       {binary_predict_response(12, 100.0, false, 2, 44, 1.0),
+        binary_explain_response(13, explanation, 2, 45, 1.0, 0),
+        binary_error_response(14, kErrTimeout, "too slow", 46, 1.0)}) {
+    const BinaryDecode decoded = decode_binary_frame(wire);
+    ASSERT_EQ(decoded.status, BinaryDecode::Status::kFrame);
+    EXPECT_NO_THROW(parse_binary_reply(decoded.type, decoded.payload));
+    for (std::size_t cut = 0; cut < decoded.payload.size(); ++cut)
+      EXPECT_THROW(
+          parse_binary_reply(decoded.type, decoded.payload.substr(0, cut)),
+          std::exception)
+          << "type " << static_cast<int>(decoded.type) << " payload cut at "
+          << cut;
+  }
   // Same for request payloads, which must yield kBad — not throw, the
   // server answers errors instead of dying.
   std::mt19937 rng(8);
@@ -283,6 +402,32 @@ TEST(ServeBinaryE2E, JsonAndBinaryClientsGetBitIdenticalPredictions) {
     EXPECT_EQ(json_reply.rate_mbps, binary_reply.rate_mbps) << "row " << i;
     EXPECT_EQ(json_reply.model, binary_reply.model);
     EXPECT_EQ(json_reply.model_version, binary_reply.model_version);
+  }
+  server.stop();
+}
+
+TEST(ServeBinaryE2E, OverlongDeadlineIsABadRequestInBothFramings) {
+  ModelHost host(shared_predictor());
+  PredictionServer server(host, {});
+  server.start();
+
+  PredictionClient json_client("127.0.0.1", server.port());
+  PredictionClient binary_client("127.0.0.1", server.port());
+  binary_client.negotiate_binary();
+  core::PlannedTransfer planned;
+  planned.src = 0;
+  planned.dst = 1;
+  planned.bytes = 4.0 * kGB;
+  const std::uint64_t deadline_ms = (1ull << 32) + 5;
+  for (PredictionClient* client : {&json_client, &binary_client}) {
+    const auto predicted = client->predict(planned, {}, deadline_ms);
+    EXPECT_FALSE(predicted.ok) << "binary " << client->binary();
+    EXPECT_EQ(predicted.error, kErrBadRequest);
+    const auto explained = client->explain(planned, {}, deadline_ms);
+    EXPECT_FALSE(explained.ok) << "binary " << client->binary();
+    EXPECT_EQ(explained.error, kErrBadRequest);
+    // The connection still serves after the rejection.
+    EXPECT_TRUE(client->predict(planned).ok);
   }
   server.stop();
 }

@@ -1160,7 +1160,6 @@ int cmd_serve_bench(const ArgList& args) {
                 out += serve::binary_predict_request(id, planned);
               } else {
                 out += serve::predict_request_line(std::to_string(id), planned);
-                out += '\n';
               }
             }
             conn.client.send_raw(out);
