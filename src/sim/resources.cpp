@@ -99,12 +99,17 @@ class Tournament {
 
 std::vector<double> maxmin_allocate(const ResourcePool& pool,
                                     const std::vector<FlowSpec>& flows) {
+  return maxmin_allocate(pool.capacities(), flows);
+}
+
+std::vector<double> maxmin_allocate(const std::vector<double>& capacities,
+                                    const std::vector<FlowSpec>& flows) {
   const std::size_t flow_count = flows.size();
   std::vector<double> rates(flow_count, 0.0);
   if (flow_count == 0) return rates;
-  const std::size_t resource_count = pool.size();
+  const std::size_t resource_count = capacities.size();
 
-  std::vector<double> remaining_cap = pool.capacities();
+  std::vector<double> remaining_cap = capacities;
 
   // Weight sums accumulate in flow order (the order fixes their rounding);
   // the same pass counts each resource's uses for the adjacency list.
@@ -174,6 +179,75 @@ std::vector<double> maxmin_allocate(const ResourcePool& pool,
     }
   }
   return rates;
+}
+
+void DirtyComponents::gather(const ResourcePool& pool,
+                             const std::vector<FlowSpec>& flows,
+                             SubProblem& out) {
+  constexpr std::uint32_t kNone = std::numeric_limits<std::uint32_t>::max();
+  const std::size_t resource_count = pool.size();
+  if (listed_.size() < resource_count) {
+    listed_.resize(resource_count, 0);
+    head_.resize(resource_count);
+    seen_.resize(resource_count, 0);
+    local_.resize(resource_count);
+  }
+  ++stamp_;
+  out.flow_ids.clear();
+  out.resource_ids.clear();
+
+  // Resource -> flow lists over this call's flows, as linked Links.
+  links_.clear();
+  for (std::uint32_t f = 0; f < flows.size(); ++f)
+    for (const auto& use : flows[f].usage) {
+      XFL_EXPECTS(use.resource < resource_count);
+      if (listed_[use.resource] != stamp_) {
+        listed_[use.resource] = stamp_;
+        head_[use.resource] = kNone;
+      }
+      links_.push_back({f, head_[use.resource]});
+      head_[use.resource] = static_cast<std::uint32_t>(links_.size() - 1);
+    }
+
+  // Breadth-first over resources from the marked ones: each visited
+  // resource pulls in its flows, and each new flow its other resources.
+  auto visit = [&](ResourceId r) {
+    if (seen_[r] == stamp_) return;
+    seen_[r] = stamp_;
+    local_[r] = static_cast<std::uint32_t>(out.resource_ids.size());
+    out.resource_ids.push_back(r);
+  };
+  for (const ResourceId r : dirty_) {
+    XFL_EXPECTS(r < resource_count);
+    visit(r);
+  }
+  dirty_.clear();
+  taken_.assign(flows.size(), false);
+  for (std::size_t next = 0; next < out.resource_ids.size(); ++next) {
+    const ResourceId r = out.resource_ids[next];
+    if (listed_[r] != stamp_) continue;  // No flow crosses r.
+    for (std::uint32_t link = head_[r]; link != kNone; link = links_[link].next) {
+      const std::uint32_t f = links_[link].flow;
+      if (taken_[f]) continue;
+      taken_[f] = true;
+      out.flow_ids.push_back(f);
+      for (const auto& use : flows[f].usage) visit(use.resource);
+    }
+  }
+
+  // Input order fixes the weight-sum rounding and the tie-break.
+  std::sort(out.flow_ids.begin(), out.flow_ids.end());
+  out.flows.resize(out.flow_ids.size());
+  for (std::size_t k = 0; k < out.flow_ids.size(); ++k) {
+    const FlowSpec& flow = flows[out.flow_ids[k]];
+    FlowSpec& local = out.flows[k];
+    local.cap_Bps = flow.cap_Bps;
+    local.usage.assign(flow.usage.begin(), flow.usage.end());
+    for (auto& use : local.usage) use.resource = local_[use.resource];
+  }
+  out.capacities.resize(out.resource_ids.size());
+  for (std::size_t j = 0; j < out.resource_ids.size(); ++j)
+    out.capacities[j] = pool.capacity(out.resource_ids[j]);
 }
 
 }  // namespace xfl::sim

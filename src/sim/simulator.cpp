@@ -22,6 +22,7 @@ struct SimMetrics {
   obs::Counter& runs = obs::counter("sim.runs");
   obs::Counter& events = obs::counter("sim.events");
   obs::Counter& solves = obs::counter("sim.solves");
+  obs::Counter& flows_solved = obs::counter("sim.flows_solved");
   obs::Counter& transfers = obs::counter("sim.transfers");
   obs::Histogram& run_us = obs::histogram("sim.run_us");
 };
@@ -179,18 +180,16 @@ void Simulator::build_usage(ActiveTransfer& transfer) {
     transfer.usage.push_back({dres.disk_write, procs, 1.0});
 }
 
-void Simulator::reallocate(double /*now*/) {
-  // 1. Refresh CPU capacities: efficiency decays with the number of GridFTP
-  //    process pairs alive at the endpoint (startup, running, or stalled).
-  //    Instance counts are maintained incrementally on arrival/completion.
-  for (std::size_t e = 0; e < endpoints_.size(); ++e) {
-    const auto& spec = endpoints_[static_cast<endpoint::EndpointId>(e)];
-    const double eff =
-        endpoint::cpu_efficiency(instances_[e], config_.cpu_knee);
-    pool_.set_capacity(endpoint_resources_[e].cpu, spec.cpu_Bps * eff);
-  }
+void Simulator::refresh_cpu(endpoint::EndpointId id) {
+  // Efficiency decays with the number of GridFTP process pairs alive at the
+  // endpoint (startup, running, or stalled).
+  const double eff = endpoint::cpu_efficiency(instances_[id], config_.cpu_knee);
+  pool_.set_capacity(endpoint_resources_[id].cpu, endpoints_[id].cpu_Bps * eff);
+  dirty_.mark(endpoint_resources_[id].cpu);
+}
 
-  // 2. Collect flows: running transfers first, then active backgrounds.
+void Simulator::reallocate(double /*now*/) {
+  // 1. Collect flows: running transfers first, then active backgrounds.
   running_.clear();
   std::size_t flow_count = 0;
   auto next_flow = [this, &flow_count]() -> FlowSpec& {
@@ -213,40 +212,56 @@ void Simulator::reallocate(double /*now*/) {
     flow.cap_Bps = bg.demand_Bps;
   }
   flows_.resize(flow_count);
+  const bool two_passes = config_.allocation_passes >= 2 && transfer_flows > 0;
+  result_.stats.solves += two_passes ? 2 : 1;
+  resource_load_.resize(pool_.size(), 0.0);
+  if (dirty_.empty()) return;
 
-  std::vector<double> rates = maxmin_allocate(pool_, flows_);
-  ++result_.stats.solves;
+  // 2. Re-solve only the components the changed resources reach; the rest
+  //    keep their rates and loads (resources.hpp explains why this is exact).
+  dirty_.gather(pool_, flows_, sub_);
+  std::vector<double> rates = maxmin_allocate(sub_.capacities, sub_.flows);
+  result_.stats.flows_solved += sub_.flows.size();
+  // Sub-problem flows are ascending in input order, so its transfers (input
+  // index below transfer_flows) come first.
+  const std::size_t sub_transfers = static_cast<std::size_t>(
+      std::lower_bound(sub_.flow_ids.begin(), sub_.flow_ids.end(),
+                       transfer_flows) -
+      sub_.flow_ids.begin());
 
   // 3. Fixed-point pass for per-file overhead efficiency (DESIGN.md §5.2):
   //    cap each transfer at the throughput its pass-1 burst rate sustains
   //    once per-file dead time is accounted for, then re-solve so that the
-  //    released capacity benefits other flows.
-  if (config_.allocation_passes >= 2 && transfer_flows > 0) {
-    for (std::size_t f = 0; f < transfer_flows; ++f) {
-      const auto& transfer = transfers_[running_[f]];
+  //    released capacity benefits other flows. A sub-problem without
+  //    transfers has the same caps in both passes, hence the same rates.
+  if (two_passes && sub_transfers > 0) {
+    for (std::size_t k = 0; k < sub_transfers; ++k) {
+      const auto& transfer = transfers_[running_[sub_.flow_ids[k]]];
       const double per_pair =
-          rates[f] / static_cast<double>(transfer.procs);
+          rates[k] / static_cast<double>(transfer.procs);
       const double effective =
           static_cast<double>(transfer.procs) *
           storage::file_overhead_efficiency_Bps(per_pair,
                                                 transfer.mean_file_bytes,
                                                 transfer.per_file_overhead_s);
-      flows_[f].cap_Bps =
+      sub_.flows[k].cap_Bps =
           std::max(kMinCapBps, std::min(transfer.tcp_cap_Bps, effective));
     }
-    rates = maxmin_allocate(pool_, flows_);
-    ++result_.stats.solves;
+    rates = maxmin_allocate(sub_.capacities, sub_.flows);
+    result_.stats.flows_solved += sub_.flows.size();
   }
 
-  // 4. Record per-resource consumption and per-transfer rate/utilisation.
-  resource_load_.assign(pool_.size(), 0.0);
-  for (std::size_t f = 0; f < flows_.size(); ++f)
-    for (const auto& use : flows_[f].usage)
-      resource_load_[use.resource] += rates[f] * use.consumption_factor;
+  // 4. Record per-resource consumption (summed in input order, as a full
+  //    solve would) and per-transfer rate/utilisation.
+  for (const ResourceId r : sub_.resource_ids) resource_load_[r] = 0.0;
+  for (std::size_t k = 0; k < sub_.flows.size(); ++k)
+    for (const auto& use : sub_.flows[k].usage)
+      resource_load_[sub_.resource_ids[use.resource]] +=
+          rates[k] * use.consumption_factor;
 
-  for (std::size_t f = 0; f < transfer_flows; ++f) {
-    auto& transfer = transfers_[running_[f]];
-    transfer.rate_Bps = rates[f];
+  for (std::size_t k = 0; k < sub_transfers; ++k) {
+    auto& transfer = transfers_[running_[sub_.flow_ids[k]]];
+    transfer.rate_Bps = rates[k];
     // Utilisation drives the fault model and must measure *external*
     // contention: the load others place on the transfer's resources. A lone
     // transfer saturating its own bottleneck is not a stressed system, so
@@ -255,7 +270,7 @@ void Simulator::reallocate(double /*now*/) {
     for (const auto& use : transfer.usage) {
       const double cap = pool_.capacity(use.resource);
       if (cap <= 0.0) continue;
-      const double own = rates[f] * use.consumption_factor;
+      const double own = rates[k] * use.consumption_factor;
       const double external = std::max(0.0, resource_load_[use.resource] - own);
       util = std::max(util, external / cap);
     }
@@ -300,12 +315,18 @@ void Simulator::complete_transfer(std::size_t index, double now) {
   ++completed_;
   instances_[transfer.req.src] -= transfer.procs;
   instances_[transfer.req.dst] -= transfer.procs;
-  // Swap-remove from the live list.
+  refresh_cpu(transfer.req.src);
+  refresh_cpu(transfer.req.dst);
+  dirty_.mark(transfer.usage);
+  // Swap-remove from the live list. A running transfer that moves changes
+  // its input position, and with it how ties in its component break.
   const std::size_t slot = live_pos_[index];
   const std::size_t last = live_.back();
   live_[slot] = last;
   live_pos_[last] = slot;
   live_.pop_back();
+  if (last != index && transfers_[last].state == TransferState::kRunning)
+    dirty_.mark(transfers_[last].usage);
   live_pos_[index] = static_cast<std::size_t>(-1);
   --active_transfers_[transfer.req.src];
   --active_transfers_[transfer.req.dst];
@@ -381,6 +402,8 @@ void Simulator::admit(std::size_t index, double now) {
   live_.push_back(index);
   instances_[transfer.req.src] += transfer.procs;
   instances_[transfer.req.dst] += transfer.procs;
+  refresh_cpu(transfer.req.src);
+  refresh_cpu(transfer.req.dst);
   ++active_transfers_[transfer.req.src];
   ++active_transfers_[transfer.req.dst];
   result_.stats.peak_active =
@@ -437,6 +460,7 @@ void Simulator::handle_event(const Event& event, double now) {
           transfer.state != TransferState::kStartup)
         break;
       transfer.state = TransferState::kRunning;
+      dirty_.mark(transfer.usage);
       reallocate(now);
       schedule_fault_candidate(event.index, now);
       break;
@@ -460,6 +484,7 @@ void Simulator::handle_event(const Event& event, double now) {
                                rng_.uniform());
         transfer.remaining_bytes += refetch;
         transfer.state = TransferState::kStalled;
+        dirty_.mark(transfer.usage);
         ++transfer.epoch;
         push_event(now + policy.retry_delay_s, EventType::kResume, event.index,
                    transfer.epoch);
@@ -475,6 +500,7 @@ void Simulator::handle_event(const Event& event, double now) {
           transfer.state != TransferState::kStalled)
         break;
       transfer.state = TransferState::kRunning;
+      dirty_.mark(transfer.usage);
       reallocate(now);
       schedule_fault_candidate(event.index, now);
       break;
@@ -493,6 +519,7 @@ void Simulator::handle_event(const Event& event, double now) {
       }
       push_event(now + rng_.exponential(1.0 / next_mean),
                  EventType::kBackgroundToggle, event.index);
+      dirty_.mark(bg.resource);
       reallocate(now);
       break;
     }
@@ -537,7 +564,10 @@ SimResult Simulator::run() {
       bg.demand_Bps = rng_.uniform(bg.spec.demand_lo_Bps, bg.spec.demand_hi_Bps);
     const double mean = bg.on ? bg.spec.mean_on_s : bg.spec.mean_off_s;
     push_event(rng_.exponential(1.0 / mean), EventType::kBackgroundToggle, b);
+    dirty_.mark(bg.resource);
   }
+  for (std::size_t e = 0; e < endpoints_.size(); ++e)
+    refresh_cpu(static_cast<endpoint::EndpointId>(e));
 
   for (std::size_t m = 0; m < monitors_.size(); ++m)
     push_event(monitors_[m].interval_s, EventType::kSample, m);
@@ -559,7 +589,9 @@ SimResult Simulator::run() {
                      << obs::kv("total", transfers_.size())
                      << obs::kv("live", live_.size())
                      << obs::kv("running", running_.size())
-                     << obs::kv("queue", queue_.size());
+                     << obs::kv("queue", queue_.size())
+                     << obs::kv("solves", result_.stats.solves)
+                     << obs::kv("flows_solved", result_.stats.flows_solved);
     const auto completion = next_completion(now);
     const bool queue_has_event = !queue_.empty();
     XFL_ENSURES(completion.has_value() || queue_has_event);
@@ -588,6 +620,7 @@ SimResult Simulator::run() {
   metrics.runs.add(1);
   metrics.events.add(result_.stats.events);
   metrics.solves.add(result_.stats.solves);
+  metrics.flows_solved.add(result_.stats.flows_solved);
   metrics.transfers.add(transfers_.size());
   metrics.run_us.record(static_cast<double>(elapsed_us));
   XFL_LOG(debug) << "sim run complete"

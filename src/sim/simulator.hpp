@@ -5,8 +5,10 @@
 // flows over shared rate resources (disk read/write, NIC in/out, CPU, WAN
 // paths). Rates are piecewise constant: on every event (arrival, data-phase
 // start, completion, fault, resume, background toggle) the weighted max-min
-// solver in resources.hpp recomputes all rates. See DESIGN.md §5 for the
-// modeling decisions.
+// solver in resources.hpp re-solves the connected components whose inputs
+// the event changed; every other flow keeps its rate, bit for bit what a
+// solve of all flows would give it. See DESIGN.md §5 for the modeling
+// decisions.
 //
 // Lifecycle of a transfer:
 //   submit ──(startup: control channel, per-pair setup, directory
@@ -82,7 +84,8 @@ struct WanSample {
 /// Aggregate statistics of one simulation run.
 struct SimStats {
   std::uint64_t events = 0;            ///< Main-loop iterations processed.
-  std::uint64_t solves = 0;            ///< Max-min solver invocations.
+  std::uint64_t solves = 0;            ///< Solver passes: 1 or 2 per reallocation.
+  std::uint64_t flows_solved = 0;      ///< Flows re-solved, summed over passes.
   std::uint32_t peak_active = 0;       ///< Max concurrent transfers at any endpoint.
   std::size_t peak_queue = 0;          ///< Max admission-queue length.
   double makespan_s = 0.0;             ///< Completion time of the last transfer.
@@ -209,6 +212,8 @@ class Simulator {
   ResourceId wan_resource(net::SiteId src_site, net::SiteId dst_site);
   const net::WanPath& wan_path(net::SiteId src_site, net::SiteId dst_site);
   void build_usage(ActiveTransfer& transfer);
+  /// Reset an endpoint's CPU capacity after its instance count changed.
+  void refresh_cpu(endpoint::EndpointId id);
   void reallocate(double now);
   void advance_progress(double from, double to);
   std::optional<std::pair<double, std::size_t>> next_completion(double now) const;
@@ -238,11 +243,17 @@ class Simulator {
   bool ran_ = false;
 
   // Flow bookkeeping refreshed by reallocate(): indices of transfers in the
-  // running state, parallel to the head of the FlowSpec list handed to the
-  // solver. The list is rebuilt in place so its usage buffers are reused.
+  // running state, parallel to the head of the FlowSpec list (running
+  // transfers in live_ order, then active backgrounds). The list is rebuilt
+  // in place so its usage buffers are reused.
   std::vector<std::size_t> running_;
   std::vector<FlowSpec> flows_;
   std::vector<double> resource_load_;  ///< Consumption per resource.
+  // Resources whose solver inputs changed since the last reallocate(): a
+  // transfer entering or leaving kRunning, a running transfer moved in
+  // live_, a background toggle, a CPU capacity change.
+  DirtyComponents dirty_;
+  SubProblem sub_;
 
   // Incremental state so that reallocate() never scans the full (possibly
   // enormous) submitted-transfer list: transfers that have arrived but not
