@@ -277,7 +277,11 @@ bool parse_trace_id(const std::string& text, std::uint64_t& trace_id) {
   for (std::size_t i = 1; i < text.size(); ++i) {
     const char c = text[i];
     if (c < '0' || c > '9') return false;
-    value = value * 10 + static_cast<std::uint64_t>(c - '0');
+    const auto digit = static_cast<std::uint64_t>(c - '0');
+    // Reject anything above UINT64_MAX rather than wrap onto another id.
+    if (value > (std::numeric_limits<std::uint64_t>::max() - digit) / 10)
+      return false;
+    value = value * 10 + digit;
   }
   trace_id = value;
   return true;

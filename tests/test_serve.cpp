@@ -16,6 +16,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
@@ -201,6 +202,19 @@ TEST(ServeProtocol, TraceIdStringsRoundTrip) {
   EXPECT_FALSE(parse_trace_id("17", parsed));   // Missing prefix.
   EXPECT_FALSE(parse_trace_id("t", parsed));    // No digits.
   EXPECT_FALSE(parse_trace_id("t1x", parsed));  // Trailing junk.
+}
+
+TEST(ServeProtocol, TraceIdAboveUint64MaxRejected) {
+  // 2^64 + 1 used to wrap to 1 and join feedback to trace t1.
+  std::uint64_t parsed = 7;
+  EXPECT_FALSE(parse_trace_id("t18446744073709551617", parsed));
+  EXPECT_FALSE(parse_trace_id("t18446744073709551616", parsed));
+  EXPECT_FALSE(parse_trace_id("t99999999999999999999", parsed));
+  EXPECT_EQ(parsed, 7u);  // Untouched on rejection.
+  EXPECT_TRUE(parse_trace_id("t18446744073709551615", parsed));
+  EXPECT_EQ(parsed, std::numeric_limits<std::uint64_t>::max());
+  EXPECT_TRUE(parse_trace_id("t00000000000000000001", parsed));
+  EXPECT_EQ(parsed, 1u);
 }
 
 TEST(ServeProtocol, FeedbackFramesParse) {

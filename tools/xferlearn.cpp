@@ -87,7 +87,10 @@
 //
 // A flag the command does not accept (a typo, or a retired flag such as
 // serve --threads), a value flag with no value, or a stray positional
-// argument exits 2 before the command runs.
+// argument exits 2 before the command runs. A malformed numeric value also
+// exits 2, when the command reads it. Integer flags (ids, counts, ports,
+// milliseconds) take only decimal digits within their field's range: 2.5,
+// 1e3, -1 and 4294967297 for a 32-bit endpoint id are rejected, never cast.
 //
 // Observability options, accepted by every subcommand (after the name):
 //   --log-level trace|debug|info|warn|error|off   (default info)
@@ -101,6 +104,7 @@
 // or exported from a real transfer service.
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -108,6 +112,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -142,15 +147,31 @@ namespace {
 
 using namespace xfl;
 
+/// A malformed command line; main() exits 2 on it, as on an unknown flag.
+struct UsageError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
 /// Strict numeric flag parse: the whole token must be a number, so typos
-/// like `--transfers 12x` fail the run instead of silently truncating.
-/// Throws std::runtime_error, which main() turns into a nonzero exit.
+/// like `--bytes 12x` fail the run instead of silently truncating.
 double parse_number(const std::string& flag, const std::string& text) {
   char* end = nullptr;
   const double parsed = std::strtod(text.c_str(), &end);
   if (text.empty() || end != text.c_str() + text.size())
-    throw std::runtime_error("bad value for " + flag + ": '" + text + "'");
+    throw UsageError("bad value for " + flag + ": '" + text + "'");
   return parsed;
+}
+
+/// Strict unsigned integer parse: the whole token must be decimal digits
+/// naming a value T can hold; nullopt otherwise (a sign, a fraction, an
+/// exponent, or 2^32 for a 32-bit field, which a cast would wrap).
+template <typename T>
+std::optional<T> parse_integer(std::string_view text) {
+  T value{};
+  const char* last = text.data() + text.size();
+  const auto [end, error] = std::from_chars(text.data(), last, value);
+  if (text.empty() || error != std::errc() || end != last) return std::nullopt;
+  return value;
 }
 
 /// Minimal --flag value parser: returns the value after `name`, if present.
@@ -179,6 +200,25 @@ class ArgList {
   double number_or(const std::string& name, double fallback) const {
     const auto v = value(name);
     return v ? parse_number(name, *v) : fallback;
+  }
+
+  /// Integer flag `name` as T, or nullopt when absent. A value T cannot
+  /// hold exactly throws UsageError.
+  template <typename T>
+  std::optional<T> integer(const std::string& name) const {
+    const auto v = value(name);
+    if (!v) return std::nullopt;
+    const auto parsed = parse_integer<T>(*v);
+    if (!parsed)
+      throw UsageError("bad value for " + name + ": '" + *v +
+                       "' (want an integer in [0, " +
+                       std::to_string(std::numeric_limits<T>::max()) + "])");
+    return parsed;
+  }
+
+  template <typename T>
+  T integer_or(const std::string& name, T fallback) const {
+    return integer<T>(name).value_or(fallback);
   }
 
   /// Describes the first argument that is not one of `accepted` (a flag
@@ -236,14 +276,13 @@ logs::LogStore load_log(const ArgList& args) {
 
 int cmd_simulate(const ArgList& args) {
   const std::string which = args.value_or("--scenario", "esnet");
-  const auto seed = static_cast<std::uint64_t>(args.number_or("--seed", 0.0));
+  const auto seed = args.integer_or<std::uint64_t>("--seed", 0);
 
   sim::Scenario scenario;
   if (which == "esnet") {
     sim::EsnetConfig config;
     if (seed != 0) config.seed = seed;
-    config.transfers = static_cast<std::size_t>(
-        args.number_or("--transfers", 2000.0));
+    config.transfers = args.integer_or<std::size_t>("--transfers", 2000);
     scenario = sim::make_esnet_testbed(config);
   } else if (which == "production") {
     sim::ProductionConfig config;
@@ -320,10 +359,9 @@ int cmd_analyze(const ArgList& args) {
 int cmd_evaluate(const ArgList& args) {
   const auto log = load_log(args);
   const auto context = core::analyze_log(log, /*contention_threads=*/0);
-  const auto max_edges =
-      static_cast<std::size_t>(args.number_or("--max-edges", 30.0));
+  const auto max_edges = args.integer_or<std::size_t>("--max-edges", 30);
   const auto min_transfers =
-      static_cast<std::size_t>(args.number_or("--min-transfers", 300.0));
+      args.integer_or<std::size_t>("--min-transfers", 300);
   const auto edges =
       core::select_heavy_edges(context, min_transfers, 0.5, max_edges);
   if (edges.empty()) {
@@ -356,8 +394,8 @@ core::TransferPredictor acquire_predictor(const ArgList& args) {
   }
   const auto log = load_log(args);
   core::TransferPredictor::Options options;
-  options.min_edge_transfers = static_cast<std::size_t>(
-      args.number_or("--min-edge-transfers", 100.0));
+  options.min_edge_transfers =
+      args.integer_or<std::size_t>("--min-edge-transfers", 100);
   core::TransferPredictor predictor(options);
   predictor.fit(log);
   return predictor;
@@ -381,20 +419,18 @@ int cmd_train(const ArgList& args) {
 /// --concurrency/--parallelism flags; nullopt when --src, --dst or --bytes
 /// is missing.
 std::optional<core::PlannedTransfer> planned_transfer(const ArgList& args) {
-  const auto src = args.value("--src");
-  const auto dst = args.value("--dst");
+  const auto src = args.integer<endpoint::EndpointId>("--src");
+  const auto dst = args.integer<endpoint::EndpointId>("--dst");
   const auto bytes = args.value("--bytes");
   if (!src || !dst || !bytes) return std::nullopt;
   core::PlannedTransfer planned;
-  planned.src = static_cast<endpoint::EndpointId>(parse_number("--src", *src));
-  planned.dst = static_cast<endpoint::EndpointId>(parse_number("--dst", *dst));
+  planned.src = *src;
+  planned.dst = *dst;
   planned.bytes = parse_number("--bytes", *bytes);
-  planned.files = static_cast<std::uint64_t>(args.number_or("--files", 1.0));
-  planned.dirs = static_cast<std::uint64_t>(args.number_or("--dirs", 1.0));
-  planned.concurrency =
-      static_cast<std::uint32_t>(args.number_or("--concurrency", 4.0));
-  planned.parallelism =
-      static_cast<std::uint32_t>(args.number_or("--parallelism", 4.0));
+  planned.files = args.integer_or<std::uint64_t>("--files", 1);
+  planned.dirs = args.integer_or<std::uint64_t>("--dirs", 1);
+  planned.concurrency = args.integer_or<std::uint32_t>("--concurrency", 4);
+  planned.parallelism = args.integer_or<std::uint32_t>("--parallelism", 4);
   return planned;
 }
 
@@ -451,18 +487,29 @@ int cmd_predict_batch(const ArgList& args) {
                    transfers_path->c_str(), r + 1);
       return 1;
     }
+    // Integer columns are read as strictly as integer flags.
+    bool bad = false;
+    auto integer = [&]<typename T>(std::size_t column, T fallback) {
+      if (column >= row.size()) return fallback;
+      const auto parsed = parse_integer<T>(row[column]);
+      bad = bad || !parsed;
+      return parsed.value_or(fallback);
+    };
     core::PlannedTransfer transfer;
-    transfer.src = static_cast<endpoint::EndpointId>(std::stoul(row[0]));
-    transfer.dst = static_cast<endpoint::EndpointId>(std::stoul(row[1]));
+    transfer.src = integer(0, endpoint::EndpointId{0});
+    transfer.dst = integer(1, endpoint::EndpointId{0});
     transfer.bytes = std::stod(row[2]);
-    transfer.files =
-        row.size() > 3 ? static_cast<std::uint64_t>(std::stoull(row[3])) : 1;
-    transfer.dirs =
-        row.size() > 4 ? static_cast<std::uint64_t>(std::stoull(row[4])) : 1;
-    transfer.concurrency =
-        row.size() > 5 ? static_cast<std::uint32_t>(std::stoul(row[5])) : 4;
-    transfer.parallelism =
-        row.size() > 6 ? static_cast<std::uint32_t>(std::stoul(row[6])) : 4;
+    transfer.files = integer(3, std::uint64_t{1});
+    transfer.dirs = integer(4, std::uint64_t{1});
+    transfer.concurrency = integer(5, std::uint32_t{4});
+    transfer.parallelism = integer(6, std::uint32_t{4});
+    if (bad) {
+      std::fprintf(stderr,
+                   "error: %s line %zu: src, dst, files, dirs, concurrency "
+                   "and parallelism must be non-negative integers in range\n",
+                   transfers_path->c_str(), r + 1);
+      return 1;
+    }
     planned.push_back(transfer);
   }
   if (planned.empty()) {
@@ -519,18 +566,15 @@ int cmd_predict_batch(const ArgList& args) {
 
 int cmd_export_dataset(const ArgList& args) {
   const auto log = load_log(args);
-  const auto src = args.value("--src");
-  const auto dst = args.value("--dst");
+  const auto src = args.integer<endpoint::EndpointId>("--src");
+  const auto dst = args.integer<endpoint::EndpointId>("--dst");
   if (!src || !dst) {
     std::fprintf(stderr, "error: --src and --dst are required\n");
     return 2;
   }
-  const logs::EdgeKey edge{
-      static_cast<endpoint::EndpointId>(parse_number("--src", *src)),
-      static_cast<endpoint::EndpointId>(parse_number("--dst", *dst))};
+  const logs::EdgeKey edge{*src, *dst};
   if (log.edge_count(edge) == 0) {
-    std::fprintf(stderr, "error: edge %s->%s has no transfers\n", src->c_str(),
-                 dst->c_str());
+    std::fprintf(stderr, "error: edge %u->%u has no transfers\n", *src, *dst);
     return 1;
   }
   const auto contention = features::compute_contention(log);
@@ -570,22 +614,19 @@ std::shared_ptr<const core::TransferPredictor> acquire_shared_predictor(
 
 serve::PredictionServer::Options server_options(const ArgList& args) {
   serve::PredictionServer::Options options;
-  options.port = static_cast<std::uint16_t>(args.number_or("--port", 7070.0));
+  options.port = args.integer_or<std::uint16_t>("--port", 7070);
   options.bind_address = args.value_or("--bind", "127.0.0.1");
-  options.max_batch =
-      static_cast<std::size_t>(args.number_or("--max-batch", 64.0));
-  options.queue_capacity =
-      static_cast<std::size_t>(args.number_or("--queue-cap", 1024.0));
-  options.shards =
-      static_cast<std::size_t>(args.number_or("--shards", 0.0));
-  options.partial_frame_timeout_ms = static_cast<std::uint64_t>(
-      args.number_or("--frame-timeout-ms", 30000.0));
-  options.monitor.drift_window = static_cast<std::size_t>(
-      args.number_or("--drift-window", 64.0));
+  options.max_batch = args.integer_or<std::size_t>("--max-batch", 64);
+  options.queue_capacity = args.integer_or<std::size_t>("--queue-cap", 1024);
+  options.shards = args.integer_or<std::size_t>("--shards", 0);
+  options.partial_frame_timeout_ms =
+      args.integer_or<std::uint64_t>("--frame-timeout-ms", 30000);
+  options.monitor.drift_window =
+      args.integer_or<std::size_t>("--drift-window", 64);
   options.monitor.drift_threshold_pct =
       args.number_or("--drift-threshold", 30.0);
-  options.monitor.drift_min_samples = static_cast<std::size_t>(
-      args.number_or("--drift-min-samples", 16.0));
+  options.monitor.drift_min_samples =
+      args.integer_or<std::size_t>("--drift-min-samples", 16);
   return options;
 }
 
@@ -602,10 +643,13 @@ int cmd_serve(const ArgList& args) {
     retrain::TrainingJournal::Options journal_options;
     journal_options.directory = *journal_dir;
     retrain::RetrainOptions retrain_options;
-    retrain_options.interval_ms = static_cast<std::uint64_t>(
-        args.number_or("--retrain-interval", 0.0) * 1000.0);
-    retrain_options.min_edge_records = static_cast<std::size_t>(
-        args.number_or("--retrain-min-records", 64.0));
+    // Fractional seconds; only the conversion to milliseconds is cast.
+    const double interval_ms = args.number_or("--retrain-interval", 0.0) * 1000.0;
+    if (!(interval_ms >= 0.0 && interval_ms < 0x1p64))
+      throw UsageError("bad value for --retrain-interval: want seconds >= 0");
+    retrain_options.interval_ms = static_cast<std::uint64_t>(interval_ms);
+    retrain_options.min_edge_records =
+        args.integer_or<std::size_t>("--retrain-min-records", 64);
     const std::uint64_t interval_s = retrain_options.interval_ms / 1000;
     retrain_service = std::make_unique<retrain::RetrainService>(
         server, std::move(journal_options), std::move(retrain_options));
@@ -767,14 +811,12 @@ void print_prometheus(const serve::JsonValue& metrics) {
 }
 
 int cmd_request(const ArgList& args) {
-  const auto port_value = args.value("--port");
-  if (!port_value) {
+  const auto port = args.integer<std::uint16_t>("--port");
+  if (!port) {
     std::fprintf(stderr, "error: --port is required\n");
     return 2;
   }
-  serve::PredictionClient client(
-      args.value_or("--host", "127.0.0.1"),
-      static_cast<std::uint16_t>(parse_number("--port", *port_value)));
+  serve::PredictionClient client(args.value_or("--host", "127.0.0.1"), *port);
 
   if (args.flag("--ping")) {
     if (!client.ping()) {
@@ -932,8 +974,7 @@ int cmd_request(const ArgList& args) {
     return 2;
   }
   const core::PlannedTransfer& planned = *transfer;
-  const auto deadline_ms =
-      static_cast<std::uint64_t>(args.number_or("--deadline-ms", 0.0));
+  const auto deadline_ms = args.integer_or<std::uint64_t>("--deadline-ms", 0);
 
   const auto reply = client.predict(planned, {}, deadline_ms);
   if (!reply.ok) {
@@ -959,23 +1000,19 @@ int cmd_request(const ArgList& args) {
 /// per-feature attribution, printed so the sum structure is visible
 /// (bias + contributions = raw score, clamped to the serving floor).
 int cmd_explain(const ArgList& args) {
-  const auto port_value = args.value("--port");
+  const auto port = args.integer<std::uint16_t>("--port");
   const auto transfer = planned_transfer(args);
-  if (!port_value || !transfer) {
+  if (!port || !transfer) {
     std::fprintf(stderr,
                  "error: --port, --src, --dst and --bytes are required\n");
     return 2;
   }
   const core::PlannedTransfer& planned = *transfer;
-  serve::PredictionClient client(
-      args.value_or("--host", "127.0.0.1"),
-      static_cast<std::uint16_t>(parse_number("--port", *port_value)));
+  serve::PredictionClient client(args.value_or("--host", "127.0.0.1"), *port);
   if (args.flag("--binary")) client.negotiate_binary();
 
-  const auto deadline_ms =
-      static_cast<std::uint64_t>(args.number_or("--deadline-ms", 0.0));
-  const auto top_k =
-      static_cast<std::uint16_t>(args.number_or("--top-k", 0.0));
+  const auto deadline_ms = args.integer_or<std::uint64_t>("--deadline-ms", 0);
+  const auto top_k = args.integer_or<std::uint16_t>("--top-k", 0);
 
   const auto reply = client.explain(planned, {}, deadline_ms, top_k);
   if (!reply.ok) {
@@ -1019,18 +1056,16 @@ int cmd_serve_bench(const ArgList& args) {
   server.start();
 
   const double seconds = args.number_or("--seconds", 2.0);
-  const auto src = static_cast<endpoint::EndpointId>(
-      args.number_or("--src", 0.0));
-  const auto dst = static_cast<endpoint::EndpointId>(
-      args.number_or("--dst", 1.0));
-  const std::size_t idle_connections =
-      static_cast<std::size_t>(args.number_or("--connections", 0.0));
+  const auto src = args.integer_or<endpoint::EndpointId>("--src", 0);
+  const auto dst = args.integer_or<endpoint::EndpointId>("--dst", 1);
+  const auto idle_connections =
+      args.integer_or<std::size_t>("--connections", 0);
   const bool binary = args.flag("--binary");
   // Pipeline depth: requests kept outstanding per connection. 1 = classic
   // blocking round trips; >1 is how a real hot client drives the batcher
   // (many frames per syscall, full batches per predict call).
-  const std::size_t pipeline = static_cast<std::size_t>(
-      std::max(1.0, args.number_or("--pipeline", 1.0)));
+  const std::size_t pipeline =
+      std::max<std::size_t>(1, args.integer_or<std::size_t>("--pipeline", 1));
   std::vector<std::size_t> levels;
   {
     const std::string spec = args.value_or("--clients", "1,4,16,64");
@@ -1039,9 +1074,12 @@ int cmd_serve_bench(const ArgList& args) {
       const std::size_t comma = spec.find(',', start);
       const std::string token =
           spec.substr(start, comma == std::string::npos ? comma : comma - start);
-      if (!token.empty())
-        levels.push_back(
-            static_cast<std::size_t>(parse_number("--clients", token)));
+      if (!token.empty()) {
+        const auto level = parse_integer<std::size_t>(token);
+        if (!level)
+          throw UsageError("bad value for --clients: '" + token + "'");
+        levels.push_back(*level);
+      }
       if (comma == std::string::npos) break;
       start = comma + 1;
     }
@@ -1452,6 +1490,9 @@ int main(int argc, char** argv) {
   int rc;
   try {
     rc = entry->run(args);
+  } catch (const UsageError& error) {
+    std::fprintf(stderr, "error: %s: %s\n", command.c_str(), error.what());
+    rc = 2;
   } catch (const std::exception& error) {
     std::fprintf(stderr, "error: %s\n", error.what());
     XFL_LOG(error) << "command failed" << obs::kv("command", command)
